@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Mapping
 
+import numpy as np
+
 if TYPE_CHECKING:  # import only for annotations: repro.storm imports
     # repro.core.informed at runtime, so the reverse import here must
     # stay type-checking-only to avoid a cycle.
@@ -47,12 +49,19 @@ class InformedParallelismCodec:
         self.total_weight = sum(self.weights.values())
 
     def hints_for(self, multiplier: float) -> dict[str, int]:
-        if multiplier <= 0:
+        row = self.hints_matrix([multiplier])[0]
+        return dict(zip(self.weights, row.tolist()))
+
+    def hints_matrix(self, multipliers: np.ndarray) -> np.ndarray:
+        """``(N,)`` multipliers -> ``(N, O)`` hints, topological order.
+
+        ``np.rint`` rounds ties to even, like Python's ``round``.
+        """
+        m = np.asarray(multipliers, dtype=float)
+        if not (m > 0).all():
             raise ValueError("multiplier must be > 0")
-        return {
-            name: max(1, round(weight * multiplier))
-            for name, weight in self.weights.items()
-        }
+        w = np.fromiter(self.weights.values(), dtype=float, count=len(self.weights))
+        return np.maximum(1, np.rint(m[:, None] * w)).astype(np.int64)
 
     def multiplier_step(self) -> float:
         """Ascent step for the informed parallel linear ascent.

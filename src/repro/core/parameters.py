@@ -44,13 +44,24 @@ class Parameter(abc.ABC):
     is_discrete: bool = False
 
     def round_trip_unit(self, u: np.ndarray) -> np.ndarray:
-        """Vectorized ``to_unit(from_unit(u))`` over an array of coords.
+        """Vectorized ``to_unit(from_unit(u))`` over an array of coords."""
+        return self._snap(_clip_unit_array(u))
 
-        Subclasses override with closed forms; this fallback loops.
+    def from_unit_array(self, u: np.ndarray) -> np.ndarray:
+        """Vectorized ``from_unit`` over an array of coords, as floats.
+
+        Element ``i`` equals ``from_unit(u[i])`` exactly (numeric values
+        only).
         """
-        return np.array(
-            [self.to_unit(self.from_unit(float(ui))) for ui in np.asarray(u)]
-        )
+        return self._values(_clip_unit_array(u))
+
+    @abc.abstractmethod
+    def _snap(self, u: np.ndarray) -> np.ndarray:
+        """:meth:`round_trip_unit` of coords already clipped to [0, 1]."""
+
+    @abc.abstractmethod
+    def _values(self, u: np.ndarray) -> np.ndarray:
+        """:meth:`from_unit_array` of coords already clipped to [0, 1]."""
 
     @abc.abstractmethod
     def as_dict(self) -> dict[str, object]:
@@ -65,6 +76,24 @@ def _clip_unit(u: float) -> float:
     if math.isnan(u):
         raise ValueError("unit coordinate is NaN")
     return min(1.0, max(0.0, float(u)))
+
+
+def _clip_unit_array(u: np.ndarray) -> np.ndarray:
+    """Vectorized :func:`_clip_unit`: NaN raises the same error."""
+    u = np.asarray(u, dtype=float)
+    if np.isnan(u).any():
+        raise ValueError("unit coordinate is NaN")
+    return np.clip(u, 0.0, 1.0)
+
+
+def _scalar_ufunc(fn, x: np.ndarray) -> np.ndarray:
+    """``fn`` (``math.exp`` / ``math.log``) per element.
+
+    ``np.exp`` and ``np.log`` may differ from the ``math`` functions
+    the scalar paths use by an ulp, and batch paths must match those
+    bit for bit.
+    """
+    return np.fromiter(map(fn, x.tolist()), dtype=float, count=x.size)
 
 
 class FloatParameter(Parameter):
@@ -101,10 +130,16 @@ class FloatParameter(Parameter):
             )
         return self.low + u * (self.high - self.low)
 
-    def round_trip_unit(self, u: np.ndarray) -> np.ndarray:
-        # from_unit and to_unit are exact inverses on [0, 1] (the log
-        # transform cancels), so the snap reduces to a clip.
-        return np.clip(np.asarray(u, dtype=float), 0.0, 1.0)
+    def _snap(self, u: np.ndarray) -> np.ndarray:
+        # to_unit(from_unit(u)) is u up to float rounding (the log
+        # transform cancels), so the snap is the clip alone.
+        return u
+
+    def _values(self, u: np.ndarray) -> np.ndarray:
+        if self.log:
+            log_lo, log_hi = math.log(self.low), math.log(self.high)
+            return _scalar_ufunc(math.exp, log_lo + u * (log_hi - log_lo))
+        return self.low + u * (self.high - self.low)
 
     def sample(self, rng: np.random.Generator) -> float:
         return self.from_unit(rng.random())
@@ -168,15 +203,28 @@ class IntParameter(Parameter):
         idx = int(min(self.n_values - 1, math.floor(u * self.n_values)))
         return self.low + idx
 
-    def round_trip_unit(self, u: np.ndarray) -> np.ndarray:
-        u = np.clip(np.asarray(u, dtype=float), 0.0, 1.0)
+    def _snap(self, u: np.ndarray) -> np.ndarray:
         if self.log:
+            # np.log may differ from math.log by an ulp: take the scalar
+            # to_unit's logarithm.
             log_lo, log_hi = math.log(self.low), math.log(self.high)
-            raw = np.exp(log_lo + u * (log_hi - log_lo))
-            v = np.clip(np.round(raw), self.low, self.high)
-            return np.clip((np.log(v) - log_lo) / (log_hi - log_lo), 0.0, 1.0)
+            log_v = _scalar_ufunc(math.log, self._values(u))
+            return np.clip((log_v - log_lo) / (log_hi - log_lo), 0.0, 1.0)
         idx = np.minimum(self.n_values - 1, np.floor(u * self.n_values))
         return (idx + 0.5) / self.n_values
+
+    def _values(self, u: np.ndarray) -> np.ndarray:
+        if self.log:
+            log_lo, log_hi = math.log(self.low), math.log(self.high)
+            arg = log_lo + u * (log_hi - log_lo)
+            raw = np.exp(arg)
+            # Within an ulp of a .5 tie, np.exp and math.exp may round
+            # apart: redo those few the scalar way.
+            near = np.abs(raw % 1.0 - 0.5) <= raw * 1e-15
+            if near.any():
+                raw[near] = _scalar_ufunc(math.exp, arg[near])
+            return np.clip(np.round(raw), self.low, self.high)
+        return self.low + np.minimum(self.n_values - 1, np.floor(u * self.n_values))
 
     def sample(self, rng: np.random.Generator) -> int:
         if self.log:
@@ -227,11 +275,21 @@ class CategoricalParameter(Parameter):
         idx = int(min(len(self.choices) - 1, math.floor(u * len(self.choices))))
         return self.choices[idx]
 
-    def round_trip_unit(self, u: np.ndarray) -> np.ndarray:
-        u = np.clip(np.asarray(u, dtype=float), 0.0, 1.0)
+    def _index_array(self, u: np.ndarray) -> np.ndarray:
         n = len(self.choices)
-        idx = np.minimum(n - 1, np.floor(u * n))
-        return (idx + 0.5) / n
+        return np.minimum(n - 1, np.floor(u * n))
+
+    def _snap(self, u: np.ndarray) -> np.ndarray:
+        return (self._index_array(u) + 0.5) / len(self.choices)
+
+    def _values(self, u: np.ndarray) -> np.ndarray:
+        """Numeric choices only: other choices raise ``ValueError``."""
+        idx = self._index_array(u).astype(np.intp)
+        try:
+            choices = np.asarray(self.choices, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{self.name}: choices are not numeric") from exc
+        return choices[idx]
 
     def sample(self, rng: np.random.Generator) -> object:
         return self.choices[int(rng.integers(len(self.choices)))]
@@ -327,6 +385,13 @@ class ParameterSpace:
         """Snap a unit point onto the grid of representable configs."""
         return self.encode(self.decode(x))
 
+    def _batch(self, X: np.ndarray) -> np.ndarray:
+        """``X`` as a checked ``(n, dim)`` matrix clipped to the cube."""
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        if X.ndim != 2 or X.shape[1] != self.dim:
+            raise ValueError(f"expected shape (n, {self.dim}), got {X.shape}")
+        return _clip_unit_array(X)
+
     def round_trip_batch(self, X: np.ndarray) -> np.ndarray:
         """Snap a whole ``(n, dim)`` batch of unit points at once.
 
@@ -334,12 +399,23 @@ class ParameterSpace:
         per row — the acquisition optimizer snaps hundreds of candidate
         points per step, so this must not loop over rows in Python.
         """
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if X.shape[1] != self.dim:
-            raise ValueError(f"expected shape (n, {self.dim}), got {X.shape}")
+        X = self._batch(X)
         out = np.empty_like(X)
         for d, p in enumerate(self.parameters):
-            out[:, d] = p.round_trip_unit(X[:, d])
+            out[:, d] = p._snap(X[:, d])
+        return out
+
+    def decode_matrix(self, U: np.ndarray) -> np.ndarray:
+        """Decode a whole ``(n, dim)`` batch of unit points at once.
+
+        Column ``d`` holds parameter ``d``'s values as floats, so row
+        ``i`` equals :meth:`decode` of ``U[i]`` value by value (numeric
+        parameters only).
+        """
+        U = self._batch(U)
+        out = np.empty_like(U)
+        for d, p in enumerate(self.parameters):
+            out[:, d] = p._values(U[:, d])
         return out
 
     def validate(self, config: Mapping[str, object]) -> None:

@@ -3,11 +3,12 @@
 :class:`AnalyticBatchModel` evaluates N configurations of one topology
 in a single NumPy pass: all topology-dependent structures (operator
 order, layer map, grouping-skew tables, network demand coefficients)
-are precomputed once in ``__init__``, and ``evaluate`` turns a list of
-:class:`~repro.storm.config.TopologyConfig` into an ``(N, D)`` hint
-matrix plus per-config scalar vectors, then computes the per-operator
-effective-cost matrix, efficiency/parallelism vectors, the six capacity
-caps, and the bottleneck argmax for every row at once.
+are precomputed once in ``__init__``.  ``evaluate`` takes
+:class:`ConfigArrays` (an ``(N, D)`` hint matrix plus per-config scalar
+vectors, as codecs' ``decode_matrix`` emits) or a list of
+:class:`~repro.storm.config.TopologyConfig`, then computes the
+per-operator effective-cost matrix, efficiency/parallelism vectors,
+the six capacity caps, and the bottleneck argmax for every row at once.
 
 Bit-compatibility contract
 --------------------------
@@ -39,7 +40,7 @@ import operator as operator_mod
 import threading
 import time
 from collections import OrderedDict
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -53,11 +54,90 @@ from repro.storm.metrics import MeasuredRun
 from repro.storm.schedule import WorkloadPoint, WorkloadSchedule
 from repro.storm.topology import Topology
 
+if TYPE_CHECKING:  # repro.storm.spaces imports this module at runtime
+    from repro.storm.spaces import ConfigCodec
+
 #: One C-level attrgetter call per config instead of four attribute
-#: probes from Python (see :meth:`AnalyticBatchModel._extract`).
+#: probes from Python (see :meth:`ConfigArrays.from_configs`).
 _CONFIG_SCALARS = operator_mod.attrgetter(
     "batch_size", "batch_parallelism", "worker_threads", "receiver_threads"
 )
+
+
+class ConfigArrays(NamedTuple):
+    """N configurations of one topology as columns: the batch input.
+
+    ``hints`` is the raw (not yet max-tasks-normalized) ``(N, O)`` hint
+    matrix with columns in ``topology.topological_order()``; the other
+    fields are length-N vectors.  ``max_tasks`` reads 0 where
+    ``has_cap`` is False, and ``n_ackers`` has Storm's one-acker-per-
+    worker default applied.
+    """
+
+    hints: np.ndarray
+    max_tasks: np.ndarray
+    has_cap: np.ndarray
+    batch_size: np.ndarray
+    batch_parallelism: np.ndarray
+    worker_threads: np.ndarray
+    receiver_threads: np.ndarray
+    n_ackers: np.ndarray
+
+    @property
+    def n_rows(self) -> int:
+        return int(self.hints.shape[0])
+
+    @classmethod
+    def from_configs(
+        cls, configs: Sequence[TopologyConfig], topology: Topology
+    ) -> "ConfigArrays":
+        """Column arrays of ``configs`` (unhinted operators: defaults)."""
+        n = len(configs)
+        order = topology.topological_order()
+        d = len(order)
+        # Fast path: configs usually hint every operator, so one
+        # C-level itemgetter call per row beats d dict.get calls.
+        hints = None
+        if d > 1:
+            get_hints = operator_mod.itemgetter(*order)
+            try:
+                hints = np.array(
+                    [get_hints(c.parallelism_hints) for c in configs],
+                    dtype=np.int64,
+                ).reshape(n, d)
+            except (KeyError, TypeError, ValueError):
+                hints = None
+        if hints is None:
+            hints = np.array(
+                [[c.raw_hint(topology, name) for name in order] for c in configs],
+                dtype=np.int64,
+            ).reshape(n, d)
+        scalars = np.array(
+            [_CONFIG_SCALARS(c) for c in configs], dtype=np.int64
+        ).reshape(n, 4)
+        raw_caps = [c.max_tasks for c in configs]
+        return cls(
+            hints=hints,
+            max_tasks=np.array(
+                [0 if cap is None else cap for cap in raw_caps], dtype=np.int64
+            ),
+            has_cap=np.array([cap is not None for cap in raw_caps], dtype=bool),
+            batch_size=scalars[:, 0],
+            batch_parallelism=scalars[:, 1],
+            worker_threads=scalars[:, 2],
+            receiver_threads=scalars[:, 3],
+            n_ackers=np.fromiter(
+                (c.effective_ackers() for c in configs), dtype=np.int64, count=n
+            ),
+        )
+
+    @classmethod
+    def broadcast(
+        cls, config: TopologyConfig, topology: Topology, n: int
+    ) -> "ConfigArrays":
+        """``config`` repeated ``n`` times; codecs replace the columns they decode."""
+        one = cls.from_configs([config], topology)
+        return cls(*(np.repeat(column, n, axis=0) for column in one))
 
 #: Cap names in :class:`CapacityBreakdown` insertion order — ``argmin``
 #: over rows stacked in this order picks the same cap as the scalar
@@ -229,7 +309,6 @@ class AnalyticBatchModel:
         ops = [topology.operator(name) for name in self._order]
         self._costs = [float(op.cost) for op in ops]
         self._contentious = [bool(op.contentious) for op in ops]
-        self._default_hints = [int(op.default_hint) for op in ops]
         # Layer map: operators grouped by layer, layers visited in the
         # scalar engine's first-occurrence order.  Because a layer-k
         # operator always has a layer-(k-1) predecessor earlier in the
@@ -313,12 +392,13 @@ class AnalyticBatchModel:
     # ------------------------------------------------------------------
     def evaluate(
         self,
-        configs: Sequence[TopologyConfig],
+        configs: Sequence[TopologyConfig] | ConfigArrays,
         *,
         workload_time_s: float = 0.0,
     ) -> BatchEvaluation:
         """Vectorized noise-free mechanics for all ``configs`` at once.
 
+        ``configs`` is a config sequence or its :class:`ConfigArrays`.
         ``workload_time_s`` samples the model's
         :class:`~repro.storm.schedule.WorkloadSchedule` (if any) at that
         offset; all N rows see the same workload point, mirroring the
@@ -326,22 +406,30 @@ class AnalyticBatchModel:
         """
         ctx = obs_runtime.current()
         started = time.perf_counter()
+        if not isinstance(configs, ConfigArrays):
+            configs = ConfigArrays.from_configs(configs, self.topology)
+        elif configs.hints.shape[1:] != (len(self._order),):
+            raise ValueError(
+                f"hint matrix {configs.hints.shape} needs {len(self._order)} columns"
+            )
+        arrays = configs
+        n = arrays.n_rows
         point = (
             self.schedule.at(workload_time_s) if self.schedule is not None else None
         )
         with ctx.tracer.span(
-            "engine.analytic.evaluate_batch", n_configs=len(configs)
+            "engine.analytic.evaluate_batch", n_configs=n
         ) as span:
-            result = self._mechanics(list(configs), point)
+            result = self._mechanics(arrays, point)
             span.set_attribute("n_failed", int(result.failed.sum()))
         seconds = time.perf_counter() - started
-        ctx.metrics.histogram("engine.batch_size").record(float(len(configs)))
+        ctx.metrics.histogram("engine.batch_size").record(float(n))
         ctx.metrics.histogram("engine.batch_seconds").record(seconds)
         return result
 
     def throughputs(
         self,
-        configs: Sequence[TopologyConfig],
+        configs: Sequence[TopologyConfig] | ConfigArrays,
         *,
         workload_time_s: float = 0.0,
     ) -> np.ndarray:
@@ -371,58 +459,6 @@ class AnalyticBatchModel:
             self.table_constructions += 1
         return table
 
-    def _extract(
-        self, configs: list[TopologyConfig]
-    ) -> tuple[np.ndarray, ...]:
-        """Config list -> raw hint matrix + per-config scalar vectors."""
-        n = len(configs)
-        d = len(self._order)
-        # Fast path: configs usually hint every operator, so one
-        # C-level itemgetter call per row beats d dict.get calls.
-        hints = None
-        if d > 1:
-            get_hints = operator_mod.itemgetter(*self._order)
-            try:
-                hints = np.array(
-                    [get_hints(c.parallelism_hints) for c in configs],
-                    dtype=np.int64,
-                ).reshape(n, d)
-            except (KeyError, TypeError, ValueError):
-                hints = None
-        if hints is None:
-            hints = np.empty((n, d), dtype=np.int64)
-            for i, config in enumerate(configs):
-                ph = config.parallelism_hints
-                row = hints[i]
-                for j, name in enumerate(self._order):
-                    hint = ph.get(name)
-                    row[j] = self._default_hints[j] if hint is None else hint
-        scalars = np.array(
-            [_CONFIG_SCALARS(c) for c in configs], dtype=np.int64
-        ).reshape(n, 4)
-        batch_size = scalars[:, 0]
-        batch_parallelism = scalars[:, 1]
-        worker_threads = scalars[:, 2]
-        receiver_threads = scalars[:, 3]
-        raw_caps = [c.max_tasks for c in configs]
-        has_cap = np.array([cap is not None for cap in raw_caps], dtype=bool)
-        max_tasks = np.array(
-            [0 if cap is None else cap for cap in raw_caps], dtype=np.int64
-        )
-        n_ackers = np.fromiter(
-            (c.effective_ackers() for c in configs), dtype=np.int64, count=n
-        )
-        return (
-            hints,
-            max_tasks,
-            has_cap,
-            batch_size,
-            batch_parallelism,
-            worker_threads,
-            receiver_threads,
-            n_ackers,
-        )
-
     def _normalize_hints(
         self, hints: np.ndarray, max_tasks: np.ndarray, has_cap: np.ndarray
     ) -> np.ndarray:
@@ -445,41 +481,14 @@ class AnalyticBatchModel:
 
     def _mechanics(
         self,
-        configs: list[TopologyConfig],
+        arrays: ConfigArrays,
         point: WorkloadPoint | None = None,
     ) -> BatchEvaluation:
         cal = self.calibration
         cluster = self.cluster
         machine = cluster.machine
-        n = len(configs)
+        n = arrays.n_rows
         d = len(self._order)
-        if n == 0:
-            empty = np.empty(0)
-            empty_bool = np.empty(0, dtype=bool)
-            empty_int = np.empty(0, dtype=np.int64)
-            return BatchEvaluation(
-                order=self._order,
-                throughput_tps=empty,
-                failed_capacity=empty_bool,
-                failed_latency=empty_bool,
-                failed_memory=empty_bool,
-                latency_ms=empty,
-                network_mb_per_worker_s=empty,
-                total_tasks=empty_int,
-                total_executors=empty_int,
-                total_work_ms=empty,
-                eta=empty,
-                caps=np.empty((6, 0)),
-                limiting_idx=empty_int,
-                bottleneck_idx=empty_int,
-                stage_times_ms=np.empty((d, 0)),
-                task_mb=empty,
-                data_mb=empty,
-                memory_budget_mb=machine.memory_mb * cal.usable_memory_fraction,
-                max_total_executors=cluster.max_total_executors,
-                batch_timeout_ms=cal.batch_timeout_ms,
-            )
-
         (
             raw_hints,
             max_tasks,
@@ -489,7 +498,7 @@ class AnalyticBatchModel:
             worker_threads,
             receiver_threads,
             n_ackers,
-        ) = self._extract(configs)
+        ) = arrays
         hints = self._normalize_hints(raw_hints, max_tasks, has_cap)
 
         total_tasks = hints.sum(axis=1)
@@ -755,7 +764,7 @@ def _screener_model(
 
 
 def make_analytic_screener(
-    codec: object,
+    codec: ConfigCodec,
     topology: Topology,
     cluster: ClusterSpec,
     calibration: CalibrationParams | None = None,
@@ -770,8 +779,8 @@ def make_analytic_screener(
     it as ``BayesianOptimizer(..., screener=...)``.
 
     ``codec`` is any :class:`repro.storm.spaces.ConfigCodec`; its
-    ``space`` decodes rows to parameter dicts and its ``decode`` maps
-    those to :class:`TopologyConfig`.
+    ``decode_matrix`` turns the candidate matrix straight into
+    :class:`ConfigArrays`, with no per-row configuration objects.
 
     Screeners for the same (topology, cluster, calibration) share one
     :class:`AnalyticBatchModel`, so repeat passes reuse the
@@ -779,11 +788,8 @@ def make_analytic_screener(
     round.
     """
     batch_model = _screener_model(topology, cluster, calibration)
-    space = codec.space  # type: ignore[attr-defined]
 
     def screen(candidates: np.ndarray) -> np.ndarray:
-        rows = np.atleast_2d(np.asarray(candidates, dtype=float))
-        configs = [codec.decode(space.decode(row)) for row in rows]  # type: ignore[attr-defined]
-        return ~batch_model.evaluate(configs).failed
+        return ~batch_model.evaluate(codec.decode_matrix(candidates)).failed
 
     return screen

@@ -23,8 +23,11 @@ import abc
 import math
 from typing import Iterable, Mapping
 
+import numpy as np
+
 from repro.core.informed import InformedParallelismCodec
 from repro.core.parameters import FloatParameter, IntParameter, Parameter, ParameterSpace
+from repro.storm.analytic_batch import ConfigArrays
 from repro.storm.cluster import ClusterSpec
 from repro.storm.config import TopologyConfig
 from repro.storm.topology import Topology
@@ -41,6 +44,14 @@ class ConfigCodec(abc.ABC):
     @abc.abstractmethod
     def decode(self, params: Mapping[str, object]) -> TopologyConfig:
         """Build the deployable configuration for one proposal."""
+
+    @abc.abstractmethod
+    def decode_matrix(self, U: np.ndarray) -> ConfigArrays:
+        """Decode an ``(N, dim)`` unit-cube matrix in one array pass.
+
+        Row ``i`` equals ``decode(space.decode(U[i]))`` as
+        :meth:`ConfigArrays.from_configs` would lay it out.
+        """
 
 
 def default_max_hint(topology: Topology, cluster: ClusterSpec) -> int:
@@ -98,6 +109,16 @@ class ParallelismCodec(ConfigCodec):
             parallelism_hints=hints, max_tasks=max_tasks
         )
 
+    def decode_matrix(self, U: np.ndarray) -> ConfigArrays:
+        values = self.space.decode_matrix(U).astype(np.int64)
+        n, n_ops = len(values), len(self.topology)
+        arrays = ConfigArrays.broadcast(self.base_config, self.topology, n)
+        if self.include_max_tasks:
+            arrays = arrays._replace(
+                max_tasks=values[:, n_ops], has_cap=np.ones(n, dtype=bool)
+            )
+        return arrays._replace(hints=values[:, :n_ops])
+
 
 class UniformHintCodec(ConfigCodec):
     """A single ``uniform_hint`` knob — the pla baseline's view."""
@@ -125,6 +146,14 @@ class UniformHintCodec(ConfigCodec):
         hint = int(params["uniform_hint"])  # type: ignore[arg-type]
         hints = {name: hint for name in self.topology}
         return self.base_config.replace(parallelism_hints=hints, max_tasks=None)
+
+    def decode_matrix(self, U: np.ndarray) -> ConfigArrays:
+        hint = self.space.decode_matrix(U)[:, 0].astype(np.int64)
+        uncapped = self.base_config.replace(max_tasks=None)
+        arrays = ConfigArrays.broadcast(uncapped, self.topology, len(hint))
+        return arrays._replace(
+            hints=np.repeat(hint[:, None], len(self.topology), axis=1)
+        )
 
 
 class InformedMultiplierCodec(ConfigCodec):
@@ -163,6 +192,12 @@ class InformedMultiplierCodec(ConfigCodec):
         multiplier = float(params["multiplier"])  # type: ignore[arg-type]
         hints = self.informed.hints_for(multiplier)
         return self.base_config.replace(parallelism_hints=hints, max_tasks=None)
+
+    def decode_matrix(self, U: np.ndarray) -> ConfigArrays:
+        hints = self.informed.hints_matrix(self.space.decode_matrix(U)[:, 0])
+        uncapped = self.base_config.replace(max_tasks=None)
+        arrays = ConfigArrays.broadcast(uncapped, self.topology, len(hints))
+        return arrays._replace(hints=hints)
 
 
 class SundogParameterCodec(ConfigCodec):
@@ -252,3 +287,30 @@ class SundogParameterCodec(ConfigCodec):
                 ackers=int(params["ackers"]),  # type: ignore[arg-type]
             )
         return config
+
+    def decode_matrix(self, U: np.ndarray) -> ConfigArrays:
+        values = self.space.decode_matrix(U).astype(np.int64)
+        n = len(values)
+        column = dict(zip(self.space.names, values.T))
+        config = self.base_config
+        changes: dict[str, np.ndarray] = {}
+        if "h" in self.include:
+            changes.update(
+                hints=values[:, : len(self.topology)],
+                max_tasks=column["max_tasks"],
+                has_cap=np.ones(n, dtype=bool),
+            )
+        elif self.fixed_hint is not None:
+            hints = {name: self.fixed_hint for name in self.topology}
+            config = config.replace(parallelism_hints=hints, max_tasks=None)
+        if "bs" in self.include:
+            changes["batch_size"] = column["batch_size"]
+        if "bp" in self.include:
+            changes["batch_parallelism"] = column["batch_parallelism"]
+        if "cc" in self.include:
+            changes.update(
+                worker_threads=column["worker_threads"],
+                receiver_threads=column["receiver_threads"],
+                n_ackers=column["ackers"],
+            )
+        return ConfigArrays.broadcast(config, self.topology, n)._replace(**changes)

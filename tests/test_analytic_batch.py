@@ -21,13 +21,23 @@ from hypothesis import strategies as st
 from repro.experiments.presets import SYNTHETIC_BASE_CONFIG, default_cluster
 from repro.experiments.runner import make_synthetic_optimizer
 from repro.storm.analytic import AnalyticPerformanceModel, CalibrationParams
-from repro.storm.analytic_batch import AnalyticBatchModel, make_analytic_screener
+from repro.storm.analytic_batch import (
+    AnalyticBatchModel,
+    ConfigArrays,
+    make_analytic_screener,
+)
 from repro.storm.cluster import paper_cluster, small_test_cluster
 from repro.storm.config import TopologyConfig
 from repro.storm.faults import FaultPlan, FaultSpec
 from repro.storm.noise import GaussianNoise
 from repro.storm.objective import StormObjective
-from repro.sundog import sundog_topology
+from repro.storm.spaces import (
+    InformedMultiplierCodec,
+    ParallelismCodec,
+    SundogParameterCodec,
+    UniformHintCodec,
+)
+from repro.sundog import SUNDOG_DEFAULT_CONFIG, sundog_topology
 from repro.topology_gen.suite import CONDITIONS, make_topology
 
 
@@ -338,6 +348,218 @@ class TestAnalyticScreener:
                 strategy, topology, cluster, SYNTHETIC_BASE_CONFIG, 8, seed=0
             )
             assert opt_plain.acq.screen is None
+
+
+def _synthetic_codecs(topology, cluster):
+    """Every synthetic codec shape over one topology."""
+    capped = SYNTHETIC_BASE_CONFIG.replace(max_tasks=len(topology) + 5)
+    return [
+        ("bo", ParallelismCodec(topology, cluster, SYNTHETIC_BASE_CONFIG)),
+        (
+            "bo-no-cap-param",
+            ParallelismCodec(topology, cluster, capped, include_max_tasks=False),
+        ),
+        (
+            "bo-no-cap",
+            ParallelismCodec(
+                topology, cluster, SYNTHETIC_BASE_CONFIG, include_max_tasks=False
+            ),
+        ),
+        ("pla", UniformHintCodec(topology, cluster, capped)),
+        ("ibo", InformedMultiplierCodec(topology, cluster, capped)),
+    ]
+
+
+#: Every non-empty ``include`` set of the Sundog codec.
+SUNDOG_INCLUDES = [
+    tuple(g for bit, g in enumerate(("h", "bs", "bp", "cc")) if mask >> bit & 1)
+    for mask in range(1, 16)
+]
+
+
+def _sundog_codecs(topology, cluster):
+    """Every include set; without ``h`` both with and without a fixed
+    hint, over a base config that hints one operator only (so the
+    unhinted ones take their defaults)."""
+    first = topology.topological_order()[0]
+    base = SUNDOG_DEFAULT_CONFIG.replace(parallelism_hints={first: 3})
+    codecs = []
+    for include in SUNDOG_INCLUDES:
+        fixed = (None,) if "h" in include else (None, 7)
+        for fixed_hint in fixed:
+            codec = SundogParameterCodec(
+                topology, cluster, base, include=include, fixed_hint=fixed_hint
+            )
+            codecs.append((f"sundog[{'+'.join(include)}|{fixed_hint}]", codec))
+    return codecs
+
+
+def _screen_cases():
+    """(label, codec, cluster) over every bundled topology and codec, on
+    the paper cluster and on a small one where many candidates fail."""
+    cases = []
+    for cluster_name, cluster in (
+        ("paper", paper_cluster()),
+        ("tiny", small_test_cluster()),
+    ):
+        for size in ("small", "medium", "large"):
+            for condition in CONDITIONS:
+                topology = make_topology(size, condition)
+                for name, codec in _synthetic_codecs(topology, cluster):
+                    label = f"{cluster_name}/{size}/{condition.label}/{name}"
+                    cases.append((label, codec, cluster))
+        topology = sundog_topology()
+        for name, codec in _synthetic_codecs(topology, cluster) + _sundog_codecs(
+            topology, cluster
+        ):
+            cases.append((f"{cluster_name}/sundog/{name}", codec, cluster))
+    return cases
+
+
+SCREEN_CASES = _screen_cases()
+
+
+def _tie_rows(codec: InformedMultiplierCodec) -> np.ndarray:
+    """Unit rows whose decoded multiplier puts some ``weight * m``
+    exactly on a .5 rounding tie."""
+    param = codec.space.parameters[0]
+    span = param.high - param.low
+    rows = []
+    for w in sorted(set(codec.informed.weights.values())):
+        for k in range(0, 40):
+            m = (k + 0.5) / w
+            if not (param.low <= m <= param.high) or w * m != k + 0.5:
+                continue
+            u = (m - param.low) / span
+            for _ in range(8):  # walk ulps until the decode hits m exactly
+                got = param.from_unit(u)
+                if got == m:
+                    rows.append([u])
+                    break
+                u = np.nextafter(u, np.inf if got < m else -np.inf)
+    return np.asarray(rows, dtype=float).reshape(-1, 1)
+
+
+def _candidates(codec, seed: int) -> np.ndarray:
+    """Random rows plus the cube's corner coordinates (u=0, u=1)."""
+    dim = codec.space.dim
+    rng = np.random.default_rng(seed)
+    rows = [
+        rng.random((40, dim)),
+        np.zeros((1, dim)),
+        np.ones((1, dim)),
+        rng.integers(0, 2, size=(8, dim)).astype(float),
+    ]
+    if isinstance(codec, InformedMultiplierCodec):
+        rows.append(_tie_rows(codec))
+    return np.vstack(rows)
+
+
+class TestMatrixScreen:
+    """The array screener path equals the per-row decode it replaced."""
+
+    @pytest.mark.parametrize(
+        "label, codec, cluster", SCREEN_CASES, ids=[case[0] for case in SCREEN_CASES]
+    )
+    def test_decode_matrix_matches_per_row_decode(self, label, codec, cluster):
+        U = _candidates(codec, seed=len(label))
+        configs = [codec.decode(codec.space.decode(row)) for row in U]
+        expected = ConfigArrays.from_configs(configs, codec.topology)
+        got = codec.decode_matrix(U)
+        assert got.n_rows == len(U)
+        for field, want, have in zip(ConfigArrays._fields, expected, got):
+            assert have.dtype == want.dtype, field
+            assert have.shape == want.shape, field
+            assert np.array_equal(have, want), field
+
+    @pytest.mark.parametrize(
+        "label, codec, cluster", SCREEN_CASES, ids=[case[0] for case in SCREEN_CASES]
+    )
+    def test_screen_mask_matches_per_row_mask(self, label, codec, cluster):
+        topology = codec.topology
+        U = _candidates(codec, seed=len(label) + 1)
+        mask = make_analytic_screener(codec, topology, cluster)(U)
+        scalar = AnalyticPerformanceModel(topology, cluster)
+        expected = [
+            not scalar.evaluate_noise_free(
+                codec.decode(codec.space.decode(row))
+            ).failed
+            for row in U
+        ]
+        assert mask.dtype == bool
+        assert mask.tolist() == expected
+
+    def test_screen_cases_keep_and_drop(self):
+        """The mask comparison is not vacuous: the cases screen out a
+        good share of candidates and keep a good share."""
+        kept = total = 0
+        for label, codec, cluster in SCREEN_CASES:
+            screen = make_analytic_screener(codec, codec.topology, cluster)
+            mask = screen(_candidates(codec, seed=len(label) + 1))
+            kept += int(mask.sum())
+            total += len(mask)
+        assert 0.25 < kept / total < 0.9, (kept, total)
+
+    def test_informed_ties_are_exercised(self):
+        """The tie rows really put products on .5, where ties-to-even
+        and ties-away-from-zero disagree."""
+        topology = make_topology("medium")
+        codec = InformedMultiplierCodec(topology, paper_cluster())
+        ties = _tie_rows(codec)
+        assert len(ties) >= 10
+        weights = np.fromiter(codec.informed.weights.values(), dtype=float)
+        multipliers = codec.space.decode_matrix(ties)[:, 0]
+        products = multipliers[:, None] * weights
+        on_tie = products - np.floor(products) == 0.5
+        assert on_tie.any(axis=1).all()
+        odd = on_tie & (np.floor(products) % 2 == 1)
+        assert odd.any(), "no tie that rounds up under ties-to-even"
+        hints = codec.informed.hints_matrix(multipliers)
+        for m, row in zip(multipliers.tolist(), hints.tolist()):
+            assert row == [max(1, round(w * m)) for w in weights.tolist()]
+            assert list(codec.informed.hints_for(m).values()) == row
+
+    def test_hints_matrix_rejects_nonpositive_multipliers(self):
+        informed = InformedMultiplierCodec(
+            make_topology("small"), paper_cluster()
+        ).informed
+        for bad in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="multiplier"):
+                informed.hints_matrix([1.0, bad])
+        with pytest.raises(ValueError, match="multiplier"):
+            informed.hints_for(0.0)
+
+    def test_empty_candidate_matrix(self):
+        topology = make_topology("small")
+        codec = ParallelismCodec(topology, paper_cluster(), SYNTHETIC_BASE_CONFIG)
+        screen = make_analytic_screener(codec, topology, paper_cluster())
+        mask = screen(np.empty((0, codec.space.dim)))
+        assert mask.shape == (0,) and mask.dtype == bool
+
+    def test_nan_candidate_raises(self):
+        topology = make_topology("small")
+        codec = ParallelismCodec(topology, paper_cluster(), SYNTHETIC_BASE_CONFIG)
+        screen = make_analytic_screener(codec, topology, paper_cluster())
+        U = np.full((2, codec.space.dim), 0.5)
+        U[1, 0] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            screen(U)
+
+    def test_evaluate_rejects_foreign_hint_matrix(self):
+        small, medium = make_topology("small"), make_topology("medium")
+        codec = ParallelismCodec(medium, paper_cluster(), SYNTHETIC_BASE_CONFIG)
+        arrays = codec.decode_matrix(np.full((3, codec.space.dim), 0.5))
+        with pytest.raises(ValueError, match="needs .* columns"):
+            AnalyticBatchModel(small, paper_cluster()).evaluate(arrays)
+
+    def test_evaluate_accepts_arrays_and_configs_alike(self):
+        topology = make_topology("medium", CONDITIONS[2])
+        model = AnalyticBatchModel(topology, paper_cluster())
+        rng = np.random.default_rng(3)
+        configs = [random_config(topology, rng, n_workers=80) for _ in range(24)]
+        from_list = model.evaluate(configs)
+        from_arrays = model.evaluate(ConfigArrays.from_configs(configs, topology))
+        assert from_list.runs() == from_arrays.runs()
 
 
 class TestBatchModelDirect:

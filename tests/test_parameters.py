@@ -221,6 +221,118 @@ class TestParameterSpace:
         assert math.isclose(float(again["c"]), float(config["c"]), abs_tol=1e-9)
 
 
+#: One of each parameter kind whose batch paths have their own code:
+#: linear/log float, linear/log int (Sundog's batch-size range), and
+#: numeric/non-numeric categoricals.
+BATCH_PARAMETERS = [
+    FloatParameter("f", -2.0, 3.0),
+    FloatParameter("flog", 0.01, 40.0, log=True),
+    IntParameter("i", 1, 37),
+    IntParameter("ilog", 1_000, 500_000, log=True),
+    CategoricalParameter("c", [1, 5, 2.5, 40]),
+    CategoricalParameter("cs", ["a", "b", "c"]),
+]
+
+
+def _unit_rows(dim: int, rng: np.random.Generator, n: int = 400) -> np.ndarray:
+    """Random rows plus both cube corners and out-of-cube coordinates."""
+    edges = np.array([[0.0], [1.0], [-0.25], [1.5]]).repeat(dim, axis=1)
+    return np.vstack([rng.random((n, dim)), edges])
+
+
+def _log_mismatch_units(param: IntParameter) -> np.ndarray:
+    """Unit coordinates of the grid values where ``np.log`` and
+    ``math.log`` disagree by an ulp: where a vectorized ``to_unit``
+    would part from the scalar one."""
+    values = np.arange(param.low, param.high + 1)
+    scalar = np.fromiter(map(math.log, values.tolist()), dtype=float)
+    odd = values[np.log(values.astype(float)) != scalar]
+    return np.array([param.to_unit(int(v)) for v in odd], dtype=float)
+
+
+def _log_tie_units(param: IntParameter) -> np.ndarray:
+    """Unit coordinates whose log-scale decode lands on or a few ulps
+    around a .5 rounding tie: a sample of them, plus every one where
+    ``np.exp`` and ``math.exp`` round to different integers."""
+    log_lo, log_hi = math.log(param.low), math.log(param.high)
+    ties = np.arange(param.low, param.high, 10) + 0.5
+    centre = (np.log(ties) - log_lo) / (log_hi - log_lo)
+    units = (centre[:, None] + np.arange(-4, 5) * np.spacing(centre)[:, None]).ravel()
+    arg = log_lo + units * (log_hi - log_lo)
+    scalar = np.fromiter(map(math.exp, arg.tolist()), dtype=float)
+    apart = np.round(np.exp(arg)) != np.round(scalar)
+    return np.concatenate([units[apart], units[::97]])
+
+
+class TestBatchPaths:
+    """round_trip_batch / decode_matrix equal their per-row versions."""
+
+    @pytest.mark.parametrize("param", BATCH_PARAMETERS, ids=lambda p: p.name)
+    def test_round_trip_batch_equals_per_row(self, param, rng):
+        space = ParameterSpace([param, IntParameter("pad", 0, 3)])
+        X = _unit_rows(space.dim, rng)
+        expected = np.array([space.round_trip(row) for row in X])
+        got = space.round_trip_batch(X)
+        if param.is_discrete:
+            assert np.array_equal(got, expected)
+        else:
+            # A float snap is a clip; the per-row to_unit(from_unit(u))
+            # returns the same point up to float rounding.
+            assert np.array_equal(got[:, 1], expected[:, 1])
+            assert np.abs(got - expected).max() <= 1e-12
+
+    def test_log_int_decode_is_bit_identical_at_ties(self):
+        param = IntParameter("batch_size", 1_000, 500_000, log=True)
+        units = _log_tie_units(param)
+        expected = [param.from_unit(u) for u in units.tolist()]
+        assert param.from_unit_array(units).tolist() == expected
+
+    def test_log_int_snap_is_bit_identical_where_logs_disagree(self):
+        param = IntParameter("batch_size", 1_000, 500_000, log=True)
+        units = _log_mismatch_units(param)
+        expected = [param.to_unit(param.from_unit(u)) for u in units.tolist()]
+        assert param.round_trip_unit(units).tolist() == expected
+
+    @pytest.mark.parametrize(
+        "param", [p for p in BATCH_PARAMETERS if p.name != "cs"], ids=lambda p: p.name
+    )
+    def test_decode_matrix_equals_per_row_decode(self, param, rng):
+        space = ParameterSpace([param, IntParameter("pad", 0, 3)])
+        U = _unit_rows(space.dim, rng)
+        if isinstance(param, IntParameter) and param.log:
+            U = np.vstack([U, _log_tie_units(param)[:, None].repeat(2, axis=1)])
+        got = space.decode_matrix(U)
+        assert got.shape == U.shape and got.dtype == float
+        for row, values in zip(U, got.tolist()):
+            assert list(space.decode(row).values()) == values
+
+    def test_decode_matrix_rejects_non_numeric_choices(self):
+        space = ParameterSpace([CategoricalParameter("cs", ["a", "b"])])
+        with pytest.raises(ValueError, match="numeric"):
+            space.decode_matrix(np.zeros((2, 1)))
+
+    def test_decode_matrix_checks_shape(self):
+        space = ParameterSpace([IntParameter("a", 0, 3), IntParameter("b", 0, 3)])
+        with pytest.raises(ValueError, match="expected shape"):
+            space.decode_matrix(np.zeros((4, 3)))
+        assert space.decode_matrix(np.zeros((0, 2))).shape == (0, 2)
+
+    @pytest.mark.parametrize("param", BATCH_PARAMETERS, ids=lambda p: p.name)
+    def test_nan_raises_on_scalar_and_batch_paths(self, param):
+        with pytest.raises(ValueError, match="unit coordinate is NaN"):
+            param.from_unit(float("nan"))
+        with pytest.raises(ValueError, match="unit coordinate is NaN"):
+            param.round_trip_unit(np.array([0.5, np.nan]))
+        space = ParameterSpace([IntParameter("pad", 0, 3), param])
+        row = np.array([0.5, np.nan])
+        for call in (space.decode, space.round_trip):
+            with pytest.raises(ValueError, match="unit coordinate is NaN"):
+                call(row)
+        for call in (space.round_trip_batch, space.decode_matrix):
+            with pytest.raises(ValueError, match="unit coordinate is NaN"):
+                call(np.vstack([np.full(2, 0.5), row]))
+
+
 class TestSerialization:
     def test_parameter_roundtrip(self):
         params = [
