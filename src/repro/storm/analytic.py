@@ -305,7 +305,6 @@ class AnalyticPerformanceModel:
         *,
         seeds: Sequence[int | None] | None = None,
         workload_time_s: float = 0.0,
-        mechanics_runs: Sequence[MeasuredRun] | None = None,
     ) -> list[MeasuredRun]:
         """Batch counterpart of :meth:`evaluate`: mechanics + faults + noise.
 
@@ -316,23 +315,10 @@ class AnalyticPerformanceModel:
         observations are bit-identical.  :class:`~repro.storm.noise.NoNoise`
         short-circuits the per-row draw entirely — the vectorized fast
         path for the common deterministic-objective case.
-
-        ``mechanics_runs`` supplies precomputed noise-free mechanics, one
-        per config — the cross-cell broker uses it to hand over rows it
-        already evaluated through the packed engine.  They must be
-        bit-identical to what :class:`AnalyticBatchModel` would produce
-        (the packed engine guarantees this); faults and noise are still
-        applied per row here so the observation streams do not change.
         """
         if seeds is not None and len(seeds) != len(configs):
             raise ValueError("seeds must match configs in length")
-        if mechanics_runs is not None and len(mechanics_runs) != len(configs):
-            raise ValueError("mechanics_runs must match configs in length")
-        batch = (
-            None
-            if mechanics_runs is not None
-            else self.batch_model.evaluate(configs, workload_time_s=workload_time_s)
-        )
+        batch = self.batch_model.evaluate(configs, workload_time_s=workload_time_s)
         tracer = obs_runtime.current().tracer
         noiseless = type(self.noise) is NoNoise
         out: list[MeasuredRun] = []
@@ -340,11 +326,7 @@ class AnalyticPerformanceModel:
             seed = seeds[i] if seeds is not None else None
 
             def mechanics(index: int = i) -> MeasuredRun:
-                run = (
-                    mechanics_runs[index]
-                    if mechanics_runs is not None
-                    else batch.run(index)
-                )
+                run = batch.run(index)
                 if run.failed:
                     tracer.event(
                         "engine.failure",

@@ -248,7 +248,6 @@ class StormObjective:
         params_list: Sequence[Mapping[str, object]],
         *,
         seeds: Sequence[int | None] | None = None,
-        mechanics_runs: Sequence[MeasuredRun] | None = None,
     ) -> list[MeasuredRun]:
         """Measure many proposals in one pass; returns runs in order.
 
@@ -260,11 +259,6 @@ class StormObjective:
         supports it.  Duplicate proposals within a batch are evaluated
         once and counted as a miss then hits, exactly as a serial loop
         over the memo cache would.
-
-        ``mechanics_runs`` optionally supplies precomputed noise-free
-        mechanics, one per proposal (the cross-cell broker's fused
-        packed dispatch); cache-hit rows ignore theirs, miss rows hand
-        theirs to the engine so no per-cell mechanics pass runs at all.
         """
         params_list = list(params_list)
         n = len(params_list)
@@ -272,8 +266,6 @@ class StormObjective:
             seeds = list(seeds)
             if len(seeds) != n:
                 raise ValueError("seeds must match params_list in length")
-        if mechanics_runs is not None and len(mechanics_runs) != n:
-            raise ValueError("mechanics_runs must match params_list in length")
         if n == 0:
             return []
         ctx = obs_runtime.current()
@@ -335,10 +327,6 @@ class StormObjective:
                     kwargs: dict[str, object] = {"seeds": miss_seeds}
                     if self.schedule is not None:
                         kwargs["workload_time_s"] = self.workload_time_s
-                    if mechanics_runs is not None:
-                        kwargs["mechanics_runs"] = [
-                            mechanics_runs[i] for i in misses
-                        ]
                     runs = engine_batch(configs, **kwargs)
                 else:
                     runs = [

@@ -6,7 +6,8 @@ is required to be *bit-compatible* with the scalar engine — equal
 every bundled topology, contention condition, and failure regime.
 These tests pin that contract (hypothesis-style over random
 configurations), the fault/noise identity of
-:meth:`StormObjective.measure_batch`, and the bounded LRU memo cache.
+:meth:`StormObjective.measure_batch`, the bounded LRU memo cache, and
+the screener's one-model-per-deployment cache.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from repro.storm.analytic import AnalyticPerformanceModel, CalibrationParams
 from repro.storm.analytic_batch import (
     AnalyticBatchModel,
     ConfigArrays,
+    _screener_model,
     make_analytic_screener,
 )
 from repro.storm.cluster import paper_cluster, small_test_cluster
@@ -37,6 +39,7 @@ from repro.storm.spaces import (
     SundogParameterCodec,
     UniformHintCodec,
 )
+from repro.storm.topology import TopologyBuilder
 from repro.sundog import SUNDOG_DEFAULT_CONFIG, sundog_topology
 from repro.topology_gen.suite import CONDITIONS, make_topology
 
@@ -61,13 +64,66 @@ def random_config(topology, rng, *, n_workers: int, hint_max: int = 33):
     )
 
 
+def pinned_configs(topology, *, n_workers: int):
+    """Fixed rows that open every equivalence batch.
+
+    A uniform configuration (the memory-boundary probe below), then
+    rows hinting one operator and none: hint dicts of different shapes
+    share one batch, so the column extraction's slow path runs too.
+    """
+    order = topology.topological_order()
+    uniform = TopologyConfig(
+        parallelism_hints={name: 4 for name in order},
+        batch_size=5_000,
+        batch_parallelism=2,
+        worker_threads=4,
+        receiver_threads=2,
+        ackers=4,
+        num_workers=n_workers,
+    )
+    return [
+        uniform,
+        uniform.replace(parallelism_hints={order[0]: 7}),
+        uniform.replace(parallelism_hints={}),
+    ]
+
+
+def solo_topology():
+    """A single-operator topology: one spout, zero network edges."""
+    return TopologyBuilder("solo").spout("src", cost=3.0).build()
+
+
 #: (label, topology, cluster, calibration) cases covering every bundled
-#: topology size, the contention/imbalance condition flags, and the
-#: memory-cap edge regime (a huge batch timeout so memory failures are
-#: not shadowed by latency failures on the tiny cluster).
+#: topology size, the contention/imbalance condition flags, a
+#: single-operator topology, and the memory-cap edge regime (a huge
+#: batch timeout so memory failures are not shadowed by latency
+#: failures on the tiny cluster).
 MEMORY_EDGE_CAL = CalibrationParams(
     batch_timeout_ms=1e12, per_task_memory_mb=64.0
 )
+
+
+def _memory_boundary_cal(*, below: bool) -> CalibrationParams:
+    """Put the small topology's pinned uniform row exactly on the cap.
+
+    ``small_test_cluster`` machines carry 4096 MB, a power of two, so
+    ``usable_memory_fraction = usage / 4096`` makes the budget exactly
+    equal to the usage in IEEE-754: the strict ``>`` check keeps the
+    row.  ``below`` moves the budget one ulp down, which fails it.
+    """
+    topology, cluster = make_topology("small"), small_test_cluster()
+    probe = AnalyticBatchModel(topology, cluster, MEMORY_EDGE_CAL).evaluate(
+        pinned_configs(topology, n_workers=cluster.n_machines)[:1]
+    )
+    usage = float(probe._task_mb[0] + probe._data_mb[0])
+    assert 0.0 < usage <= 4096.0
+    if below:
+        usage = float(np.nextafter(usage, 0.0))
+    return CalibrationParams(
+        batch_timeout_ms=1e12,
+        per_task_memory_mb=64.0,
+        usable_memory_fraction=usage / 4096.0,
+    )
 
 
 def _equivalence_cases():
@@ -83,6 +139,7 @@ def _equivalence_cases():
                 )
             )
     cases.append(("sundog", sundog_topology(), paper_cluster(), None))
+    cases.append(("solo", solo_topology(), small_test_cluster(), None))
     cases.append(
         (
             "small/memory-edge",
@@ -99,10 +156,28 @@ def _equivalence_cases():
             MEMORY_EDGE_CAL,
         )
     )
+    for suffix, below in (("boundary", False), ("below-boundary", True)):
+        cases.append(
+            (
+                f"small/memory-{suffix}",
+                make_topology("small"),
+                small_test_cluster(),
+                _memory_boundary_cal(below=below),
+            )
+        )
     return cases
 
 
 EQUIVALENCE_CASES = _equivalence_cases()
+
+
+def _case_configs(label, topology, cluster):
+    """A case's batch: the pinned rows, then 40 rng-driven ones."""
+    rng = np.random.default_rng(hash(label) % 2**32)
+    return pinned_configs(topology, n_workers=cluster.n_machines) + [
+        random_config(topology, rng, n_workers=cluster.n_machines)
+        for _ in range(40)
+    ]
 
 
 class TestBatchScalarEquivalence:
@@ -115,11 +190,7 @@ class TestBatchScalarEquivalence:
     )
     def test_runs_are_bit_identical(self, label, topology, cluster, calibration):
         model = AnalyticPerformanceModel(topology, cluster, calibration=calibration)
-        rng = np.random.default_rng(hash(label) % 2**32)
-        configs = [
-            random_config(topology, rng, n_workers=cluster.n_machines)
-            for _ in range(40)
-        ]
+        configs = _case_configs(label, topology, cluster)
         scalar = [model.evaluate_noise_free(c) for c in configs]
         batched = model.evaluate_noise_free_batch(configs)
         assert scalar == batched
@@ -134,16 +205,15 @@ class TestBatchScalarEquivalence:
         or the equivalence claim is weaker than it reads."""
         reasons: set[str] = set()
         ok = 0
+        first_runs = {}
         for label, topology, cluster, calibration in EQUIVALENCE_CASES:
             model = AnalyticPerformanceModel(
                 topology, cluster, calibration=calibration
             )
-            rng = np.random.default_rng(hash(label) % 2**32)
-            configs = [
-                random_config(topology, rng, n_workers=cluster.n_machines)
-                for _ in range(40)
-            ]
-            for run in model.evaluate_noise_free_batch(configs):
+            configs = _case_configs(label, topology, cluster)
+            runs = model.evaluate_noise_free_batch(configs)
+            first_runs[label] = runs[0]
+            for run in runs:
                 if run.failed:
                     reasons.add(run.failure_reason.split(":")[0])
                 else:
@@ -151,6 +221,11 @@ class TestBatchScalarEquivalence:
         assert ok > 0
         assert any("memory" in r for r in reasons), reasons
         assert len(reasons) >= 2, reasons
+        # The boundary pair straddles the cap: at the budget the pinned
+        # uniform row runs, one ulp below it fails on memory.
+        assert not first_runs["small/memory-boundary"].failed
+        below = first_runs["small/memory-below-boundary"]
+        assert below.failure_reason.startswith("memory"), below.failure_reason
 
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=50, deadline=None)
@@ -583,3 +658,35 @@ class TestBatchModelDirect:
                 assert (
                     run.details["limiting_cap"] == batch.limiting_cap[i]
                 )
+
+
+class TestScreenerModelReuse:
+    """One AnalyticBatchModel per deployment, shared by its screeners."""
+
+    def test_screeners_share_one_model_and_its_tables(self):
+        topology = make_topology("small")
+        cluster = default_cluster()
+        _, codec = make_synthetic_optimizer(
+            "bo", topology, cluster, SYNTHETIC_BASE_CONFIG, 8, seed=0
+        )
+        model = _screener_model(topology, cluster, None)
+        assert _screener_model(topology, cluster, None) is model
+
+        screen_one = make_analytic_screener(codec, topology, cluster)
+        rng = np.random.default_rng(0)
+        candidates = rng.random((16, codec.space.dim))
+        screen_one(candidates)
+        constructions = model.table_constructions
+        assert constructions >= 1
+
+        # A second screener for the same deployment must not rebuild
+        # the grouping tables — same shared model, same table count.
+        screen_two = make_analytic_screener(codec, topology, cluster)
+        screen_two(candidates)
+        assert _screener_model(topology, cluster, None) is model
+        assert model.table_constructions == constructions
+
+    def test_distinct_deployments_get_distinct_models(self):
+        a = _screener_model(make_topology("small"), default_cluster(), None)
+        b = _screener_model(make_topology("small"), default_cluster(), None)
+        assert a is not b  # different objects are different cache keys

@@ -145,8 +145,14 @@ class TestFleetMode:
             CampaignSpec.synthetic(mode="fleet")
 
     def test_unknown_mode_is_rejected(self):
-        with pytest.raises(ValueError, match="mode"):
-            CampaignSpec.synthetic(mode="swarm")
+        for mode in ("swarm", "packed"):
+            with pytest.raises(ValueError, match="mode"):
+                CampaignSpec.synthetic(mode=mode)
+        # A spec saved while "packed" was a mode no longer loads.
+        data = self._tiny().as_dict()
+        data["mode"] = "packed"
+        with pytest.raises(ValueError, match=r"\('pool', 'fleet'\)"):
+            CampaignSpec.from_dict(data)
 
     @pytest.mark.parametrize(
         "kwargs",
