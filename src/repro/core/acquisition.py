@@ -16,10 +16,19 @@ from typing import Callable
 
 import numpy as np
 from scipy import optimize as sopt
-from scipy import stats
+from scipy import special
 
 from repro.core.gp import GaussianProcess
 from repro.core.parameters import ParameterSpace
+
+
+_SQRT_2PI = np.sqrt(2 * np.pi)
+
+
+def _norm_pdf(z: np.ndarray) -> np.ndarray:
+    """Standard normal density, bit-identical to ``scipy.stats.norm.pdf``
+    without its ``rv_continuous`` argument handling."""
+    return np.exp(-(z**2) / 2.0) / _SQRT_2PI
 
 
 def expected_improvement(
@@ -38,7 +47,7 @@ def expected_improvement(
         z = np.where(std > 0, improvement / std, 0.0)
     ei = np.where(
         std > 0,
-        improvement * stats.norm.cdf(z) + std * stats.norm.pdf(z),
+        improvement * special.ndtr(z) + std * _norm_pdf(z),
         np.maximum(improvement, 0.0),
     )
     return np.maximum(ei, 0.0)
@@ -53,7 +62,7 @@ def probability_of_improvement(
     improvement = mean - best - xi
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(std > 0, improvement / std, 0.0)
-    return np.where(std > 0, stats.norm.cdf(z), (improvement > 0).astype(float))
+    return np.where(std > 0, special.ndtr(z), (improvement > 0).astype(float))
 
 
 def upper_confidence_bound(

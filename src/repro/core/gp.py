@@ -22,6 +22,16 @@ from repro.core.kernels import Kernel, make_kernel
 #: Diagonal jitter added to every training covariance for stability.
 JITTER = 1e-8
 
+_potrf, _potrs = sla.get_lapack_funcs(("potrf", "potrs"), (np.empty(0),))
+
+
+def _check_finite(**arrays: object) -> None:
+    """Reject NaN/inf inputs up front: the ML-II loop runs LAPACK
+    without its own finite checks."""
+    for name, value in arrays.items():
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} must not contain infs or NaNs")
+
 
 @dataclass
 class _Posterior:
@@ -130,10 +140,12 @@ class GaussianProcess:
             raise ValueError(
                 f"X has dim {X.shape[1]}, kernel expects {self.kernel.dim}"
             )
+        _check_finite(X=X, y=y)
         if y_err is not None:
             y_err = np.asarray(y_err, dtype=float).ravel()
             if y_err.shape[0] != y.shape[0]:
                 raise ValueError("y_err must match y in length")
+            _check_finite(y_err=y_err)
             if np.any(y_err < 0):
                 raise ValueError("y_err entries must be >= 0")
         self._y_err = y_err
@@ -170,6 +182,7 @@ class GaussianProcess:
         x = np.asarray(x, dtype=float).ravel()
         if x.shape[0] != self.kernel.dim:
             raise ValueError(f"x has dim {x.shape[0]}, kernel expects {self.kernel.dim}")
+        _check_finite(x=x, y=y)
         if self._posterior is None:
             return self.fit(x[None, :], [float(y)], optimize_hyperparams=False)
         post = self._posterior
@@ -223,20 +236,34 @@ class GaussianProcess:
             bounds.append((math.log(1e-8), math.log(1.0)))
         return bounds
 
+    def _add_noise_diag(self, K: np.ndarray) -> np.ndarray:
+        """Add noise, jitter and any matching ``y_err`` to ``K``'s
+        diagonal in place; returns ``K``."""
+        diag = np.arange(K.shape[0])
+        K[diag, diag] += self.noise + JITTER
+        if self._y_err is not None and self._y_err.shape[0] == K.shape[0]:
+            K[diag, diag] += self._y_err
+        return K
+
     def _neg_lml_and_grad(
         self, theta: np.ndarray, X: np.ndarray, z: np.ndarray
     ) -> tuple[float, np.ndarray]:
+        """Negative log marginal likelihood and its gradient at ``theta``.
+
+        The ML-II inner loop: one distance pass feeds both ``K`` and its
+        gradient, and LAPACK runs without finite checks, because the
+        public entry points reject non-finite inputs.
+        """
         self._unpack_theta(theta)
         n = X.shape[0]
-        K = self.kernel(X)
-        Kn = K + (self.noise + JITTER) * np.eye(n)
-        if self._y_err is not None:
-            Kn = Kn + np.diag(self._y_err)
-        try:
-            L = sla.cholesky(Kn, lower=True)
-        except sla.LinAlgError:
+        cov = self.kernel.training_cov(X)
+        # A Fortran-ordered copy is LAPACK's own layout: potrf factors
+        # it in place and ``cov.K`` stays intact for the gradient.
+        Kn = self._add_noise_diag(np.array(cov.K, order="F"))
+        L, info = _potrf(Kn, lower=True, overwrite_a=True)
+        if info:
             return 1e25, np.zeros_like(theta)
-        alpha = sla.cho_solve((L, True), z)
+        alpha, _ = _potrs(L, z, lower=True)
         lml = (
             -0.5 * float(z @ alpha)
             - float(np.sum(np.log(np.diag(L))))
@@ -245,9 +272,9 @@ class GaussianProcess:
         # dLML/dtheta_j = 0.5 tr((alpha alpha' - K^-1) dK/dtheta_j),
         # with the trace inner products delegated to the kernel's
         # vectorized fast path (no per-dimension dK matrices).
-        Kinv = sla.cho_solve((L, True), np.eye(n))
+        Kinv, _ = _potrs(L, np.eye(n, order="F"), lower=True, overwrite_b=True)
         W = np.outer(alpha, alpha) - Kinv
-        grad = 0.5 * self.kernel.grad_dot(X, W)
+        grad = 0.5 * self.kernel.grad_dot(cov, W)
         if self.fit_noise:
             grad_noise = 0.5 * float(np.trace(W)) * self.noise
             grad = np.concatenate((grad, [grad_noise]))
@@ -288,10 +315,7 @@ class GaussianProcess:
 
     def _refresh_posterior(self, X: np.ndarray, z: np.ndarray) -> None:
         n = X.shape[0]
-        K = self.kernel(X)
-        Kn = K + (self.noise + JITTER) * np.eye(n)
-        if self._y_err is not None and self._y_err.shape[0] == n:
-            Kn = Kn + np.diag(self._y_err)
+        Kn = self._add_noise_diag(self.kernel(X))
         try:
             L = sla.cholesky(Kn, lower=True)
         except sla.LinAlgError:
@@ -323,6 +347,7 @@ class GaussianProcess:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if X.shape[1] != self.kernel.dim:
             raise ValueError("input dimensionality mismatch")
+        _check_finite(X=X)
         if self._posterior is None:
             mean = np.zeros(X.shape[0]) + self._y_mean
             if not return_std:

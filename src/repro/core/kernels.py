@@ -13,22 +13,33 @@ from __future__ import annotations
 
 import abc
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 
-def _pairwise_scaled_sq_dists(
-    X1: np.ndarray, X2: np.ndarray, lengthscales: np.ndarray
-) -> np.ndarray:
-    """Squared distances after per-dimension scaling by lengthscales."""
-    A = X1 / lengthscales
-    B = X2 / lengthscales
+def _scaled_sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Squared distances between the rows of lengthscale-scaled inputs."""
     sq = (
         np.sum(A**2, axis=1)[:, None]
         + np.sum(B**2, axis=1)[None, :]
         - 2.0 * A @ B.T
     )
     return np.maximum(sq, 0.0)
+
+
+class TrainingCov(NamedTuple):
+    """Training covariance plus the pieces its gradient reuses.
+
+    Built by :meth:`Kernel.training_cov` from one distance pass and
+    consumed by :meth:`Kernel.grad_dot`, so an ML-II objective
+    evaluation computes distances, ``sqrt`` and ``exp`` once.
+    """
+
+    K: np.ndarray  # variance * shape(sq)
+    A: np.ndarray  # X / lengthscales
+    sq: np.ndarray  # scaled squared distances
+    radial: np.ndarray  # variance * radial factor (``K`` itself for RBF)
 
 
 class Kernel(abc.ABC):
@@ -100,12 +111,26 @@ class Kernel(abc.ABC):
         X2 = X1 if X2 is None else np.atleast_2d(np.asarray(X2, dtype=float))
         if X1.shape[1] != self.dim or X2.shape[1] != self.dim:
             raise ValueError("input dimensionality mismatch")
-        sq = _pairwise_scaled_sq_dists(X1, X2, self.lengthscales)
+        ls = self.lengthscales
+        sq = _scaled_sq_dists(X1 / ls, X2 / ls)
         return self.variance * self._shape(sq)
 
     def diag(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         return np.full(X.shape[0], self.variance)
+
+    def training_cov(self, X: np.ndarray) -> TrainingCov:
+        """``K(X, X)`` with its gradient pieces, from one distance pass."""
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        if X.shape[1] != self.dim:
+            raise ValueError("input dimensionality mismatch")
+        A = X / self.lengthscales
+        sq = _scaled_sq_dists(A, A)
+        shape, radial = self._shape_and_radial(sq)
+        variance = self.variance
+        K = variance * shape
+        radial = K if radial is shape else variance * radial
+        return TrainingCov(K, A, sq, radial)
 
     def value_and_grads(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Training covariance ``K(X, X)`` and ``dK/dtheta_j`` matrices.
@@ -114,26 +139,25 @@ class Kernel(abc.ABC):
         n)`` array, built by a single broadcast over dimensions rather
         than a per-dimension Python loop.
         """
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        A = X / self.lengthscales
-        sq = _pairwise_scaled_sq_dists(X, X, self.lengthscales)
-        K = self.variance * self._shape(sq)
-        radial = self.variance * self._radial_factor(sq)
-        grads = np.empty((self.n_hyperparameters, X.shape[0], X.shape[0]))
-        grads[0] = K  # d/d log variance = K
+        cov = self.training_cov(X)
+        n = cov.K.shape[0]
+        grads = np.empty((self.n_hyperparameters, n, n))
+        grads[0] = cov.K  # d/d log variance = K
         if self.ard:
-            diffs = A[:, None, :] - A[None, :, :]  # (n, n, dim)
-            grads[1:] = np.einsum("ij,ijd->dij", radial, diffs**2)
+            diffs = cov.A[:, None, :] - cov.A[None, :, :]  # (n, n, dim)
+            grads[1:] = np.einsum("ij,ijd->dij", cov.radial, diffs**2)
         else:
-            grads[1] = radial * sq
-        return K, grads
+            grads[1] = cov.radial * cov.sq
+        return cov.K, grads
 
-    def grad_dot(self, X: np.ndarray, W: np.ndarray) -> np.ndarray:
+    def grad_dot(self, cov: TrainingCov, W: np.ndarray) -> np.ndarray:
         """``sum_ij W_ij * dK_ij/dtheta_j`` for every hyperparameter.
 
-        The ML-II gradient only ever needs these inner products, so this
-        skips materializing the per-dimension ``dK`` matrices entirely:
-        with ``M = W * radial`` and ``A = X / lengthscales``,
+        ``cov`` is this kernel's :meth:`training_cov` at the current
+        hyperparameters.  The ML-II gradient only ever needs these inner
+        products, so this skips materializing the per-dimension ``dK``
+        matrices entirely: with ``M = W * radial`` and ``A = X /
+        lengthscales``,
 
         ``sum_ij M_ij (A_id - A_jd)^2
             = r·A_d² + c·A_d² - 2 A_d·(M A)_d``
@@ -141,21 +165,19 @@ class Kernel(abc.ABC):
         with ``r``/``c`` the row/column sums of ``M`` — two matmuls and
         an einsum, O(n² d) BLAS flops and O(n² + n d) memory.
         """
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        A = X / self.lengthscales
-        sq = _pairwise_scaled_sq_dists(X, X, self.lengthscales)
-        K = self.variance * self._shape(sq)
+        WK = W * cov.K
         out = np.empty(self.n_hyperparameters)
-        out[0] = float(np.sum(W * K))
-        M = W * (self.variance * self._radial_factor(sq))
+        out[0] = float(np.sum(WK))
+        M = WK if cov.radial is cov.K else W * cov.radial
         if self.ard:
+            A = cov.A
             A_sq = A**2
             row = M.sum(axis=1)
             col = M.sum(axis=0)
             MA = M @ A
             out[1:] = row @ A_sq + col @ A_sq - 2.0 * np.einsum("id,id->d", A, MA)
         else:
-            out[1] = float(np.sum(M * sq))
+            out[1] = float(np.sum(M * cov.sq))
         return out
 
     @abc.abstractmethod
@@ -163,9 +185,14 @@ class Kernel(abc.ABC):
         """Unit-variance kernel value as a function of scaled sq. distance."""
 
     @abc.abstractmethod
-    def _radial_factor(self, sq_dists: np.ndarray) -> np.ndarray:
-        """Factor ``F`` such that ``dK/d(log l_d) = variance * F * u_d``
-        with ``u_d`` the per-dimension scaled squared distance."""
+    def _shape_and_radial(
+        self, sq_dists: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``_shape`` together with the factor ``F`` such that
+        ``dK/d(log l_d) = variance * F * u_d``, with ``u_d`` the
+        per-dimension scaled squared distance.  The two share one
+        ``sqrt``/``exp`` pass; a kernel whose ``F`` equals its shape
+        returns the same array twice."""
 
     def clone(self) -> "Kernel":
         other = type(self)(self.dim, ard=self.ard)
@@ -185,9 +212,12 @@ class RBF(Kernel):
     def _shape(self, sq_dists: np.ndarray) -> np.ndarray:
         return np.exp(-0.5 * sq_dists)
 
-    def _radial_factor(self, sq_dists: np.ndarray) -> np.ndarray:
+    def _shape_and_radial(
+        self, sq_dists: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
         # dK/d(log l_d) = K * u_d  with u_d = diff_d^2 / l_d^2.
-        return np.exp(-0.5 * sq_dists)
+        shape = self._shape(sq_dists)
+        return shape, shape
 
 
 class Matern52(Kernel):
@@ -201,11 +231,13 @@ class Matern52(Kernel):
         s = math.sqrt(5.0) * r
         return (1.0 + s + s**2 / 3.0) * np.exp(-s)
 
-    def _radial_factor(self, sq_dists: np.ndarray) -> np.ndarray:
+    def _shape_and_radial(
+        self, sq_dists: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
         # dk/d(log l_d) = v * (5/3) (1 + sqrt(5) r) exp(-sqrt(5) r) * u_d.
-        r = np.sqrt(sq_dists)
-        s = math.sqrt(5.0) * r
-        return (5.0 / 3.0) * (1.0 + s) * np.exp(-s)
+        s = math.sqrt(5.0) * np.sqrt(sq_dists)
+        e = np.exp(-s)
+        return (1.0 + s + s**2 / 3.0) * e, (5.0 / 3.0) * (1.0 + s) * e
 
 
 class Matern32(Kernel):
@@ -218,10 +250,13 @@ class Matern32(Kernel):
         s = math.sqrt(3.0) * np.sqrt(sq_dists)
         return (1.0 + s) * np.exp(-s)
 
-    def _radial_factor(self, sq_dists: np.ndarray) -> np.ndarray:
+    def _shape_and_radial(
+        self, sq_dists: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
         # From dk/dr = -3 v r exp(-s): dk/d(log l_d) = 3 v exp(-s) * u_d.
         s = math.sqrt(3.0) * np.sqrt(sq_dists)
-        return 3.0 * np.exp(-s)
+        e = np.exp(-s)
+        return (1.0 + s) * e, 3.0 * e
 
 
 KERNELS = {

@@ -24,6 +24,20 @@ from repro.core.parameters import ParameterSpace
 from repro.obs import runtime as obs_runtime
 
 
+def _allclose_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.allclose(a_i, b_i)`` for every row of the broadcast pair.
+
+    One point is checked against a stack of points in one array pass,
+    with ``np.isclose``'s exact rule: ``|a - b| <= 1e-8 + 1e-5 |b|``,
+    tolerance relative to ``b``, and equal infinities close.
+    """
+    with np.errstate(invalid="ignore"):
+        close = (np.abs(a - b) <= 1e-08 + 1e-05 * np.abs(b)) & np.isfinite(b) | (
+            a == b
+        )
+    return close.all(axis=-1)
+
+
 class BayesianOptimizer(Optimizer):
     """GP + acquisition-function optimizer over a :class:`ParameterSpace`.
 
@@ -283,13 +297,15 @@ class BayesianOptimizer(Optimizer):
         return min(self.y) if self.maximize else max(self.y)
 
     def _remove_pending(self, x: np.ndarray) -> bool:
-        """Retire the fantasy matching ``x``, if one is in flight."""
-        for i, pending in enumerate(self._pending_X):
-            if np.allclose(pending, x):
-                del self._pending_X[i]
-                del self._pending_y[i]
-                return True
-        return False
+        """Retire the first fantasy matching ``x``, if one is in flight."""
+        pending = np.asarray(self._pending_X).reshape(-1, self.space.dim)
+        matches = np.flatnonzero(_allclose_rows(pending, x))
+        if matches.size == 0:
+            return False
+        i = int(matches[0])
+        del self._pending_X[i]
+        del self._pending_y[i]
+        return True
 
     def tell(self, config: Mapping[str, object], value: float) -> None:
         """Record a measurement and refresh the GP.
@@ -589,14 +605,14 @@ class BayesianOptimizer(Optimizer):
         # Avoid re-sampling an already-measured grid point (or one
         # already in flight) exactly: perturb if the proposal
         # duplicates history or the pending set.
-        seen_points = self.X + self._pending_X
-        if any(np.allclose(x, seen) for seen in seen_points):
+        seen = np.asarray(self.X + self._pending_X).reshape(-1, self.space.dim)
+        if _allclose_rows(x, seen).any():
             for _ in range(16):
                 jittered = np.clip(
                     x + self._rng.normal(0.0, 0.1, size=self.space.dim), 0.0, 1.0
                 )
                 jittered = self.space.round_trip(jittered)
-                if not any(np.allclose(jittered, seen) for seen in seen_points):
+                if not _allclose_rows(jittered, seen).any():
                     return jittered
             return self.space.round_trip(self._rng.random(self.space.dim))
         return x

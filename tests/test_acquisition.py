@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from repro.core.acquisition import (
     AcquisitionOptimizer,
@@ -66,6 +67,43 @@ class TestProbabilityOfImprovement:
             np.array([2.0, 0.5]), np.array([0.0, 0.0]), best=1.0
         )
         assert pi[0] == 1.0 and pi[1] == 0.0
+
+
+def test_normal_cdf_pdf_bit_identical_to_scipy_stats():
+    """EI/PI's direct ndtr / exp forms equal ``stats.norm`` bitwise."""
+    from scipy import special
+
+    from repro.core.acquisition import _norm_pdf
+
+    z = np.concatenate(
+        [
+            np.random.default_rng(0).normal(0.0, 4.0, size=1_000_000),
+            np.linspace(-40.0, 40.0, 20_001),
+            [0.0, -0.0, 40.0, -40.0, 1e-300, -1e-300, np.inf, -np.inf],
+        ]
+    )
+    assert np.array_equal(special.ndtr(z), stats.norm.cdf(z))
+    assert np.array_equal(_norm_pdf(z), stats.norm.pdf(z))
+
+
+def test_ei_pi_bit_identical_to_scipy_stats_formulas(rng):
+    mean = rng.normal(size=5000)
+    std = np.abs(rng.normal(size=5000))
+    std[::7] = 0.0
+    improvement = mean - 0.3
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.where(std > 0, improvement / std, 0.0)
+    ei = np.maximum(
+        np.where(
+            std > 0,
+            improvement * stats.norm.cdf(z) + std * stats.norm.pdf(z),
+            np.maximum(improvement, 0.0),
+        ),
+        0.0,
+    )
+    pi = np.where(std > 0, stats.norm.cdf(z), (improvement > 0).astype(float))
+    assert np.array_equal(expected_improvement(mean, std, best=0.3), ei)
+    assert np.array_equal(probability_of_improvement(mean, std, best=0.3), pi)
 
 
 class TestUCB:

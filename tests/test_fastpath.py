@@ -325,4 +325,6 @@ def test_grad_dot_matches_materialized_gradients(kernel, ard):
     k.theta = rng.normal(0.0, 0.3, size=k.n_hyperparameters)
     _, grads = k.value_and_grads(X)
     expected = np.array([float(np.sum(W * g)) for g in grads])
-    np.testing.assert_allclose(k.grad_dot(X, W), expected, atol=1e-10)
+    np.testing.assert_allclose(
+        k.grad_dot(k.training_cov(X), W), expected, atol=1e-10
+    )

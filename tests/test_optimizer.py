@@ -216,3 +216,56 @@ def test_invalid_constructor_args():
         BayesianOptimizer(make_space(), acquisition="nope")
     with pytest.raises(ValueError):
         BayesianOptimizer(make_space(), kernel="nope")
+
+
+def _tolerance_edge_probes(seen: np.ndarray) -> np.ndarray:
+    """Points straddling ``np.allclose``'s tolerance around ``seen``."""
+    tol = 1e-08 + 1e-05 * np.abs(seen)
+    probes = []
+    with np.errstate(invalid="ignore"):  # inf - inf at infinite rows
+        edges = (seen + tol, seen - tol)
+    for edge in edges:
+        probes += [
+            edge,
+            np.nextafter(edge, np.inf),
+            np.nextafter(edge, -np.inf),
+        ]
+    one_coordinate = seen.copy()
+    one_coordinate[:, 1] += 2.0 * tol[:, 1]
+    probes += [seen, one_coordinate]
+    return np.vstack(probes)
+
+
+def test_allclose_rows_matches_allclose_loop():
+    from repro.core.optimizer import _allclose_rows
+
+    rng = np.random.default_rng(3)
+    seen = rng.random((30, 3))
+    seen[0] = 0.0  # the tolerance there is atol alone
+    seen[1] = 1.0
+    seen[2, 0] = np.inf
+    probes = np.vstack([_tolerance_edge_probes(seen), rng.random((20, 3))])
+    outcomes = set()
+    for p in probes:
+        # _propose's direction: the proposal against the history.
+        got = bool(_allclose_rows(p, seen).any())
+        assert got == any(np.allclose(p, s) for s in seen)
+        # _remove_pending's direction: each pending point against ``p``.
+        per_row = _allclose_rows(seen, p)
+        assert per_row.tolist() == [bool(np.allclose(s, p)) for s in seen]
+        outcomes.add(got)
+    assert outcomes == {True, False}
+
+
+def test_remove_pending_retires_first_match():
+    opt = BayesianOptimizer(make_space(), init_points=4, seed=0)
+    x = np.array([0.25, 0.5])
+    near = x + 1e-9
+    opt._pending_X = [x + 0.1, near, x.copy()]
+    opt._pending_y = [1.0, 2.0, 3.0]
+    assert opt._remove_pending(x)
+    assert opt._pending_y == [1.0, 3.0]
+    assert np.array_equal(opt._pending_X[1], x)
+    assert not opt._remove_pending(x + 0.5)
+    opt._pending_X, opt._pending_y = [], []
+    assert not opt._remove_pending(x)
