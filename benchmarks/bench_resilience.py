@@ -30,7 +30,11 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.core.checkpoint import canonical_history, load_checkpoint
+from repro.core.checkpoint import (
+    FileCheckpointSlot,
+    canonical_history,
+    load_checkpoint,
+)
 from repro.core.loop import TuningLoop
 from repro.core.optimizer import BayesianOptimizer
 from repro.core.resilience import ReplicatedObjective, RetryPolicy
@@ -242,7 +246,11 @@ def _resume_loop(
         max_steps=RESUME_STEPS,
         seed=11,
         resilience=_policy(),
-        checkpoint_path=checkpoint_path,
+        checkpoint=(
+            FileCheckpointSlot(checkpoint_path)
+            if checkpoint_path is not None
+            else None
+        ),
     )
 
 

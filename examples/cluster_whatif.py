@@ -32,11 +32,11 @@ def tune_on(n_machines: int, topology):
     base = SYNTHETIC_BASE_CONFIG.replace(num_workers=cluster.total_workers)
     codec = ParallelismCodec(topology, cluster, base)
     objective = StormObjective(
-        topology, cluster, codec, noise=GaussianNoise(0.05), seed=n_machines
+        topology, cluster, codec, noise=GaussianNoise(0.05)
     )
     optimizer = BayesianOptimizer(codec.space, seed=7)
     result = TuningLoop(
-        objective, optimizer, max_steps=STEPS, repeat_best=8
+        objective, optimizer, max_steps=STEPS, repeat_best=8, seed=n_machines
     ).run()
     best = codec.decode(result.best_config)
     return result, sum(best.normalized_hints(topology).values()), cluster

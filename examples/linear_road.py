@@ -61,11 +61,12 @@ def main():
     uniform = UniformHintCodec(topology, cluster, base)
     pla = ParallelLinearAscent("uniform_hint", uniform.ascent_values(60))
     pla_result = TuningLoop(
-        StormObjective(topology, cluster, uniform, noise=GaussianNoise(0.05), seed=1),
+        StormObjective(topology, cluster, uniform, noise=GaussianNoise(0.05)),
         pla,
         max_steps=60,
         repeat_best=10,
         strategy_name="pla",
+        seed=1,
     ).run()
     mean, lo, hi = pla_result.rerun_summary()
     rows.append(
@@ -75,11 +76,12 @@ def main():
     codec = ParallelismCodec(topology, cluster, base)
     bo = BayesianOptimizer(codec.space, seed=0)
     bo_result = TuningLoop(
-        StormObjective(topology, cluster, codec, noise=GaussianNoise(0.05), seed=2),
+        StormObjective(topology, cluster, codec, noise=GaussianNoise(0.05)),
         bo,
         max_steps=40,
         repeat_best=10,
         strategy_name="bo",
+        seed=2,
     ).run()
     mean, lo, hi = bo_result.rerun_summary()
     rows.append(

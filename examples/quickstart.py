@@ -42,20 +42,18 @@ def main():
     uniform = UniformHintCodec(topology, cluster, base)
     pla = ParallelLinearAscent("uniform_hint", uniform.ascent_values(60))
     pla_objective = StormObjective(
-        topology, cluster, uniform, noise=GaussianNoise(0.03), seed=1
+        topology, cluster, uniform, noise=GaussianNoise(0.03)
     )
     pla_result = TuningLoop(
-        pla_objective, pla, max_steps=60, repeat_best=10, strategy_name="pla"
+        pla_objective, pla, max_steps=60, repeat_best=10, strategy_name="pla", seed=1
     ).run()
 
     # --- Bayesian Optimization over per-operator hints ------------------
     codec = ParallelismCodec(topology, cluster, base)
-    objective = StormObjective(
-        topology, cluster, codec, noise=GaussianNoise(0.03), seed=2
-    )
+    objective = StormObjective(topology, cluster, codec, noise=GaussianNoise(0.03))
     bo = BayesianOptimizer(codec.space, acquisition="ei", seed=0)
     bo_result = TuningLoop(
-        objective, bo, max_steps=40, repeat_best=10, strategy_name="bo"
+        objective, bo, max_steps=40, repeat_best=10, strategy_name="bo", seed=2
     ).run()
 
     print(f"topology: {topology.name} with operators {list(topology)}")
@@ -65,11 +63,11 @@ def main():
             f"{result.strategy:>4}: best {mean:8.1f} tuples/s "
             f"[{lo:.1f}, {hi:.1f}] found at step {result.best_step}"
         )
-    best_config = codec.decode(bo_result.best_config)
-    print("bo's chosen hints:", best_config.normalized_hints(topology))
+    hints = codec.decode(bo_result.best_config).normalized_hints(topology)
+    print("bo's chosen hints:", hints)
     print(
-        "note how the contentious 'enrich' bolt gets few tasks while "
-        "'aggregate' (the heavy parallelizable bolt) gets many"
+        f"the contentious 'enrich' bolt got {hints['enrich']} tasks, "
+        f"'aggregate' (the heavy parallelizable bolt) {hints['aggregate']}"
     )
 
 

@@ -55,11 +55,14 @@ def run_strategy(name, topology, cluster, seed=0):
         steps = STEPS_BO
     else:
         raise ValueError(name)
-    objective = StormObjective(
-        topology, cluster, codec, noise=GaussianNoise(0.03), seed=seed + 100
-    )
+    objective = StormObjective(topology, cluster, codec, noise=GaussianNoise(0.03))
     result = TuningLoop(
-        objective, optimizer, max_steps=steps, repeat_best=10, strategy_name=name
+        objective,
+        optimizer,
+        max_steps=steps,
+        repeat_best=10,
+        strategy_name=name,
+        seed=seed + 100,
     ).run()
     return result
 

@@ -221,9 +221,8 @@ class CheckpointSlot(Protocol):
     The slot is the seam between :class:`~repro.core.loop.TuningLoop`
     and persistence: the loop saves and loads whole
     :class:`TuningCheckpoint` values and never learns whether they land
-    in a standalone JSONL file (:class:`FileCheckpointSlot`, the
-    ``checkpoint_path=`` compatibility shim) or in a study store
-    backend (:class:`repro.store.base.StoreCheckpointSlot`).
+    in a standalone JSONL file (:class:`FileCheckpointSlot`) or in a
+    study store backend (:class:`repro.store.base.StoreCheckpointSlot`).
     """
 
     def load(self) -> TuningCheckpoint | None:

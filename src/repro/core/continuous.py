@@ -164,7 +164,7 @@ class ContinuousTuningLoop:
     def __init__(
         self,
         objective: Objective,
-        make_optimizer: Callable[[int | None], Optimizer],
+        make_optimizer: Callable[[int], Optimizer],
         *,
         epochs: int = 6,
         epoch_duration_s: float = 600.0,
@@ -172,7 +172,7 @@ class ContinuousTuningLoop:
         initial_steps: int | None = None,
         mode: str = "continuous",
         detector: PageHinkleyDetector | None = None,
-        seed: int | None = None,
+        seed: int = 0,
         checkpoint_dir: str | Path | None = None,
         store: "StudyStore | None" = None,
         study: str = "continuous",
@@ -234,19 +234,13 @@ class ContinuousTuningLoop:
     # ------------------------------------------------------------------
     # Seeds and paths
     # ------------------------------------------------------------------
-    def _opt_seed(self, epoch: int) -> int | None:
-        if self.seed is None:
-            return None
+    def _opt_seed(self, epoch: int) -> int:
         return derive_seed(self.seed, "optimizer", epoch)
 
-    def _epoch_seed(self, epoch: int) -> int | None:
-        if self.seed is None:
-            return None
+    def _epoch_seed(self, epoch: int) -> int:
         return derive_seed(self.seed, "epoch", epoch)
 
-    def _monitor_seed(self, epoch: int) -> int | None:
-        if self.seed is None:
-            return None
+    def _monitor_seed(self, epoch: int) -> int:
         return derive_seed(self.seed, "monitor", epoch)
 
     @staticmethod

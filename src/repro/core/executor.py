@@ -246,7 +246,7 @@ class SerialExecutor(EvaluationExecutor):
     ``submit`` only queues; the evaluation runs inside ``wait_one``, so
     a loop driving this executor is operation-for-operation identical
     to the classic serial ask/evaluate/tell cycle (same objective call
-    order, same shared-RNG draw order, same tracer span nesting).
+    order, same tracer span nesting).
 
     **Batch fast path** — when the objective advertises a vectorized
     ``measure_batch`` (see :func:`supports_batch_measurement`) and more

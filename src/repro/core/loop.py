@@ -33,15 +33,10 @@ from __future__ import annotations
 import dataclasses
 import math
 import time
-from pathlib import Path
 from typing import Callable, Mapping
 
 from repro.core.baselines import Optimizer
-from repro.core.checkpoint import (
-    CheckpointSlot,
-    FileCheckpointSlot,
-    TuningCheckpoint,
-)
+from repro.core.checkpoint import CheckpointSlot, TuningCheckpoint
 from repro.core.executor import EvaluationExecutor, SerialExecutor
 from repro.core.history import Observation, TuningResult
 from repro.core.resilience import ResilientExecutor, RetryPolicy
@@ -111,10 +106,11 @@ class TuningLoop:
     with 4 workers keeps 4 evaluations in flight.  At ``batch_size=1``
     proposals come from plain ``ask()`` — bit-identical to the classic
     serial loop; larger batches use ``ask_batch`` and the optimizer's
-    pending-point machinery.  ``seed`` enables per-evaluation noise
-    seeds (derived per submission index via
-    :func:`~repro.core.seeding.derive_seed`), which make a concurrent
-    run's observations an order-independent replay of the serial run.
+    pending-point machinery.  Every evaluation draws its noise from
+    ``derive_seed(seed, "eval", i)`` for submission index ``i`` (re-runs
+    of the best configuration from ``"rerun"``), so a run's
+    observations depend on neither the executor, nor completion order,
+    nor whether a checkpoint is attached.
     """
 
     def __init__(
@@ -129,9 +125,8 @@ class TuningLoop:
         min_improvement: float = 0.01,
         executor: EvaluationExecutor | None = None,
         batch_size: int | None = None,
-        seed: int | None = None,
+        seed: int = 0,
         resilience: RetryPolicy | None = None,
-        checkpoint_path: str | Path | None = None,
         checkpoint: CheckpointSlot | None = None,
         diagnostics: bool | None = None,
     ) -> None:
@@ -159,33 +154,19 @@ class TuningLoop:
         #: policy (:mod:`repro.core.resilience`): the loop wraps its
         #: executor in a :class:`ResilientExecutor`.
         self.resilience = resilience
-        if checkpoint is not None and checkpoint_path is not None:
-            raise ValueError(
-                "pass either checkpoint_path or a checkpoint slot, not both"
-            )
         #: When set, the loop checkpoints history + optimizer state to
         #: this slot after every tell, and resumes from it when it holds
-        #: one (docs/ROBUSTNESS.md).  ``checkpoint_path=`` is the
-        #: standalone-JSONL-file shim (:class:`FileCheckpointSlot`);
-        #: ``checkpoint=`` accepts any slot, e.g. a study-store address
+        #: one (docs/ROBUSTNESS.md): a standalone JSONL file
+        #: (:class:`~repro.core.checkpoint.FileCheckpointSlot`) or a
+        #: study-store address
         #: (:class:`repro.store.base.StoreCheckpointSlot`).
         self.checkpoint: CheckpointSlot | None = checkpoint
-        self.checkpoint_path = (
-            Path(checkpoint_path) if checkpoint_path is not None else None
-        )
-        if self.checkpoint is None and self.checkpoint_path is not None:
-            self.checkpoint = FileCheckpointSlot(self.checkpoint_path)
         #: Online model-quality diagnostics (docs/OBSERVABILITY.md
         #: §diagnostics).  ``None`` (default) follows the obs session:
         #: active when one is, off when not — keeping the no-session
         #: path inside the <2% overhead budget.  ``True``/``False``
         #: force it either way.
         self.diagnostics = diagnostics
-
-    def _eval_seed(self, stream: str, index: int) -> int | None:
-        if self.seed is None:
-            return None
-        return derive_seed(self.seed, stream, index)
 
     # ------------------------------------------------------------------
     # Crash-safe checkpointing (docs/ROBUSTNESS.md)
@@ -329,7 +310,9 @@ class TuningLoop:
                         )
                         for config in batch:
                             executor.submit(
-                                issued, config, seed=self._eval_seed("eval", issued)
+                                issued,
+                                config,
+                                seed=derive_seed(self.seed, "eval", issued),
                             )
                             pending[issued] = suggest_seconds
                             issued += 1
@@ -437,7 +420,7 @@ class TuningLoop:
                     executor.submit(
                         self.max_steps + i,
                         best_config,
-                        seed=self._eval_seed("rerun", i),
+                        seed=derive_seed(self.seed, "rerun", i),
                     )
                 reruns: list[float] = []
                 for _ in range(self.repeat_best):
@@ -503,7 +486,10 @@ def run_passes(
     base_seed: int = 0,
 ) -> list[TuningResult]:
     """Run several independent optimization passes (the paper runs two
-    and graphs the better one; Figure 5 reports spread over both)."""
+    and graphs the better one; Figure 5 reports spread over both).
+
+    Pass ``i`` seeds both its optimizer and its evaluations with
+    ``base_seed + i``, so passes draw independent noise."""
     if passes < 1:
         raise ValueError("passes must be >= 1")
     results = []
@@ -515,6 +501,7 @@ def run_passes(
             max_steps=max_steps,
             repeat_best=repeat_best,
             strategy_name=strategy_name,
+            seed=base_seed + i,
         )
         results.append(loop.run())
     return results

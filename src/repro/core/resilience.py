@@ -163,7 +163,7 @@ class FailedEvaluation:
     details: Mapping[str, object] = field(default_factory=dict)
 
 
-def config_key(config: Mapping[str, object]) -> str:
+def breaker_key(config: Mapping[str, object]) -> str:
     """Stable identity of a configuration for the circuit breaker."""
     return json.dumps(sorted(config.items()), default=str)
 
@@ -275,7 +275,7 @@ class ResilientExecutor(EvaluationExecutor):
         seed: int | None = None,
     ) -> None:
         config = dict(config)
-        key = config_key(config)
+        key = breaker_key(config)
         if self._breaker.get(key, 0) >= self.policy.breaker_threshold:
             if self._cooldown_elapsed(key):
                 # Half-open probe: let exactly this submission through
@@ -449,7 +449,7 @@ class ResilientExecutor(EvaluationExecutor):
         record = self._attempts.pop(outcome.eval_id, None)
         failed = bool(getattr(outcome.run, "failed", False))
         if not failed:
-            key = config_key(outcome.config)
+            key = breaker_key(outcome.config)
             if (
                 self.policy.breaker_cooldown_seconds is not None
                 and self._breaker.get(key, 0) >= self.policy.breaker_threshold
@@ -471,7 +471,7 @@ class ResilientExecutor(EvaluationExecutor):
         kind = classify_failure(reason)
         if kind == "persistent":
             self.stats["persistent_failures"] += 1
-            key = config_key(outcome.config)
+            key = breaker_key(outcome.config)
             count = self._breaker.get(key, 0) + 1
             self._breaker[key] = count
             if count >= self.policy.breaker_threshold:

@@ -274,7 +274,6 @@ def run_synthetic_cell(spec: SyntheticCellSpec) -> list[TuningResult]:
             codec,
             fidelity=spec.fidelity,  # type: ignore[arg-type]
             noise=GaussianNoise(MEASUREMENT_NOISE_SIGMA),
-            seed=pass_seed + 777,
         )
         executor = (
             make_executor(
@@ -292,14 +291,7 @@ def run_synthetic_cell(spec: SyntheticCellSpec) -> list[TuningResult]:
                 strategy_name=spec.strategy,
                 executor=executor,
                 batch_size=spec.batch_size,
-                # Checkpointed passes always get per-evaluation seeds:
-                # resuming mid-pass in a fresh process must replay the
-                # same noise streams the uninterrupted run would draw.
-                seed=(
-                    pass_seed + 991
-                    if executor is not None or slot is not None
-                    else None
-                ),
+                seed=pass_seed + 991,
                 checkpoint=slot,
                 resilience=spec.resilience,
             )
@@ -510,7 +502,6 @@ def run_sundog_arm(spec: SundogArmSpec) -> list[TuningResult]:
             codec,
             fidelity=spec.fidelity,  # type: ignore[arg-type]
             noise=GaussianNoise(MEASUREMENT_NOISE_SIGMA),
-            seed=pass_seed + 131,
         )
         executor = (
             make_executor(
@@ -528,11 +519,7 @@ def run_sundog_arm(spec: SundogArmSpec) -> list[TuningResult]:
                 strategy_name=spec.label,
                 executor=executor,
                 batch_size=spec.batch_size,
-                seed=(
-                    pass_seed + 991
-                    if executor is not None or slot is not None
-                    else None
-                ),
+                seed=pass_seed + 991,
                 checkpoint=slot,
                 resilience=spec.resilience,
             )

@@ -31,8 +31,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
-
+from repro.core.seeding import derive_seed
 from repro.obs import runtime as obs_runtime
 from repro.storm.acker import AckerModel
 from repro.storm.cluster import ClusterSpec
@@ -145,7 +144,7 @@ class AnalyticPerformanceModel:
         cluster: ClusterSpec,
         calibration: CalibrationParams | None = None,
         noise: NoiseModel | None = None,
-        seed: int | None = None,
+        seed: int = 0,
         faults: FaultPlan | None = None,
         schedule: WorkloadSchedule | None = None,
     ) -> None:
@@ -155,7 +154,8 @@ class AnalyticPerformanceModel:
         self.noise = noise or NoNoise()
         self.faults = faults
         self.schedule = schedule
-        self._rng = np.random.default_rng(seed)
+        self.seed = seed
+        self._unseeded_evals = 0
         self._acker_model = AckerModel(ack_cost_units=self.calibration.ack_cost_units)
         # Topology-derived constants, independent of the configuration.
         self._volumes = topology.volumes()
@@ -210,27 +210,40 @@ class AnalyticPerformanceModel:
     ) -> MeasuredRun:
         """Deterministic mechanics plus faults and observation noise.
 
-        ``seed`` draws the noise (and any injected fault decision, see
-        :mod:`repro.storm.faults`) from a per-evaluation stream instead
-        of the engine's shared one (see
-        :func:`repro.storm.noise.draw_observation`).  ``workload_time_s``
-        samples the engine's :class:`WorkloadSchedule` (if any) at that
-        offset; without a schedule it is ignored.
+        ``seed`` names this evaluation's noise and fault streams (see
+        :mod:`repro.storm.faults`); without one the engine takes the
+        next from its own counter (:meth:`next_seed`).
+        ``workload_time_s`` samples the engine's
+        :class:`WorkloadSchedule` (if any) at that offset; without a
+        schedule it is ignored.
         """
+        if seed is None:
+            seed = self.next_seed()
         run = inject_faults(
             self.faults,
             lambda: self.evaluate_noise_free(
                 config, workload_time_s=workload_time_s
             ),
-            config_key=repr(config),
             seed=seed,
             tracer=obs_runtime.current().tracer,
             engine="analytic",
         )
         if run.failed:
             return run
-        observed = draw_observation(self.noise, run.throughput_tps, self._rng, seed)
+        observed = draw_observation(self.noise, run.throughput_tps, seed)
         return run.with_throughput(observed)
+
+    def next_seed(self) -> int:
+        """Seed of the next evaluation called without one.
+
+        The ``n``-th unseeded evaluation draws from
+        ``derive_seed(self.seed, "eval", n)``, so direct use of the
+        engine is reproducible.  Concurrent callers pass their own
+        seeds.
+        """
+        n = self._unseeded_evals
+        self._unseeded_evals = n + 1
+        return derive_seed(self.seed, "eval", n)
 
     def __call__(self, config: TopologyConfig) -> float:
         return self.evaluate(config).throughput_tps
@@ -311,8 +324,9 @@ class AnalyticPerformanceModel:
         The deterministic mechanics run as one vectorized pass; fault
         decisions and noise draws then replay per evaluation in list
         order, exactly as a serial loop over :meth:`evaluate` would
-        (same per-seed streams, same shared-RNG draw order), so the
-        observations are bit-identical.  :class:`~repro.storm.noise.NoNoise`
+        (same per-evaluation seeds, unseeded rows taking
+        :meth:`next_seed` in list order), so the observations are
+        bit-identical.  :class:`~repro.storm.noise.NoNoise`
         short-circuits the per-row draw entirely — the vectorized fast
         path for the common deterministic-objective case.
         """
@@ -322,8 +336,10 @@ class AnalyticPerformanceModel:
         tracer = obs_runtime.current().tracer
         noiseless = type(self.noise) is NoNoise
         out: list[MeasuredRun] = []
-        for i, config in enumerate(configs):
+        for i in range(len(configs)):
             seed = seeds[i] if seeds is not None else None
+            if seed is None:
+                seed = self.next_seed()
 
             def mechanics(index: int = i) -> MeasuredRun:
                 run = batch.run(index)
@@ -338,7 +354,6 @@ class AnalyticPerformanceModel:
             run = inject_faults(
                 self.faults,
                 mechanics,
-                config_key=repr(config),
                 seed=seed,
                 tracer=tracer,
                 engine="analytic",
@@ -351,9 +366,7 @@ class AnalyticPerformanceModel:
                 # non-negative throughputs the engine produces.
                 out.append(run.with_throughput(run.throughput_tps))
                 continue
-            observed = draw_observation(
-                self.noise, run.throughput_tps, self._rng, seed
-            )
+            observed = draw_observation(self.noise, run.throughput_tps, seed)
             out.append(run.with_throughput(observed))
         return out
 

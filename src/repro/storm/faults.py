@@ -178,22 +178,17 @@ class FaultPlan:
     def active(self) -> bool:
         return self.spec.active
 
-    def decide(self, seed: int | None, key: object = "") -> FaultDecision:
+    def decide(self, seed: int) -> FaultDecision:
         """The faults the evaluation identified by ``seed`` draws.
 
-        ``seed`` is the per-evaluation noise seed; when the caller runs
-        without per-evaluation seeds (classic serial loop), ``key`` — a
-        stable description of the configuration — names the stream
-        instead, so identical configurations still fault identically.
-        The decision is a pure function of (spec.seed, identity): the
-        order evaluations complete in can never change who faults,
-        which is what keeps a ``batch_size=4`` run a replay of the
-        serial one.
+        ``seed`` is the per-evaluation noise seed.  The decision is a
+        pure function of (spec.seed, seed): the order evaluations
+        complete in can never change who faults, which is what keeps a
+        ``batch_size=4`` run a replay of the serial one.
         """
         if not self.spec.active:
             return NO_FAULTS
-        identity = seed if seed is not None else key
-        rng = np.random.default_rng(derive_seed(self.spec.seed, "fault", identity))
+        rng = np.random.default_rng(derive_seed(self.spec.seed, "fault", seed))
         # Fixed draw order so adding a fault type later cannot silently
         # reshuffle existing streams.
         u_hang, u_crash, u_straggler, u_loss = rng.random(4)
@@ -259,8 +254,7 @@ def inject_faults(
     plan: "FaultPlan | None",
     run_mechanics: "callable",
     *,
-    config_key: object,
-    seed: int | None,
+    seed: int,
     tracer,
     engine: str,
 ) -> MeasuredRun:
@@ -275,7 +269,7 @@ def inject_faults(
     """
     if plan is None or not plan.active:
         return run_mechanics()
-    decision = plan.decide(seed, key=config_key)
+    decision = plan.decide(seed)
     if decision.any:
         tracer.event(
             "engine.fault_injected",

@@ -5,42 +5,26 @@ workstations that could be in interactive use during evaluations
 (§IV-C1), and two-minute windows sample a stochastic system.  The
 optimizer explicitly assumes Gaussian observation noise (§III-C), so the
 default model is multiplicative Gaussian jitter; an interference model
-adds the occasional "a student sat down at the iMac" slowdown.
+adds the occasional "a student sat down at the iMac" slowdown.  Every
+observation draws from its own per-evaluation seed
+(:func:`draw_observation`); there is no shared noise stream.
 """
 
 from __future__ import annotations
 
 import abc
-import threading
 
 import numpy as np
 
-#: Guards noise draws from an engine's *shared* RNG stream.  NumPy
-#: ``Generator`` objects are not thread-safe, and a threaded evaluation
-#: executor (:mod:`repro.core.executor`) may run several engine
-#: evaluations at once.  Per-evaluation seeded draws bypass the lock —
-#: each gets a Generator of its own.
-_SHARED_RNG_LOCK = threading.Lock()
 
+def draw_observation(noise: "NoiseModel", value: float, seed: int) -> float:
+    """Apply ``noise`` to ``value`` from the stream named by ``seed``.
 
-def draw_observation(
-    noise: "NoiseModel",
-    value: float,
-    shared_rng: np.random.Generator,
-    seed: int | None = None,
-) -> float:
-    """Apply ``noise`` to ``value`` from the right random stream.
-
-    With ``seed`` the draw comes from a dedicated one-shot stream, so
-    the observed value is a pure function of (value, seed) — the
-    property concurrent runs rely on for order-independent replay.
-    Without it the draw consumes the engine's shared stream under a
-    process-wide lock, preserving the classic serial draw order.
+    Every draw gets a one-shot ``Generator`` of its own, so the observed
+    value is a pure function of (value, seed): the order evaluations run
+    or complete in can never change what any of them observes.
     """
-    if seed is not None:
-        return noise(value, np.random.default_rng(seed))
-    with _SHARED_RNG_LOCK:
-        return noise(value, shared_rng)
+    return noise(value, np.random.default_rng(seed))
 
 
 class NoiseModel(abc.ABC):

@@ -50,6 +50,9 @@ class StormObjective:
         ``"des"`` (event-by-event simulation).
     noise:
         Observation noise model shared by both engines.
+    seed:
+        Base of the engine's seed counter for evaluations called
+        without a seed of their own (``engine.next_seed``).
     faults:
         Optional :class:`~repro.storm.faults.FaultPlan` making the
         substrate misbehave deterministically (docs/ROBUSTNESS.md).
@@ -86,7 +89,7 @@ class StormObjective:
         fidelity: Fidelity = "analytic",
         calibration: CalibrationParams | None = None,
         noise: NoiseModel | None = None,
-        seed: int | None = None,
+        seed: int = 0,
         des_kwargs: Mapping[str, object] | None = None,
         faults: FaultPlan | None = None,
         memoize: bool | None = None,
@@ -194,8 +197,8 @@ class StormObjective:
     ) -> MeasuredRun:
         """Full metrics for one proposal (throughput, network, latency).
 
-        ``seed``, when given, draws this evaluation's observation noise
-        from its own stream instead of the engine's shared one — the
+        ``seed``, when given, names this evaluation's noise stream (else
+        the engine takes the next one from its own counter) — the
         value becomes a pure function of (params, seed), so concurrent
         evaluations replay identically regardless of completion order.
         """

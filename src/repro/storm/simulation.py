@@ -196,7 +196,7 @@ class DiscreteEventSimulator:
         cluster: ClusterSpec,
         calibration: CalibrationParams | None = None,
         noise: NoiseModel | None = None,
-        seed: int | None = None,
+        seed: int = 0,
         max_sim_time_ms: float = 120_000.0,
         max_batches: int = 200,
         warmup_batches: int = 3,
@@ -213,15 +213,15 @@ class DiscreteEventSimulator:
         self.noise = noise or NoNoise()
         self.faults = faults
         self.schedule = schedule
-        self._rng = np.random.default_rng(seed)
         self.max_sim_time_ms = max_sim_time_ms
         self.max_batches = max_batches
         self.warmup_batches = warmup_batches
         self._acker_model = AckerModel(ack_cost_units=self.calibration.ack_cost_units)
         self._scheduler = EvenScheduler()
-        # Reuse the analytic model's feasibility checks and network math.
+        # Reuse the analytic model's feasibility checks and network math,
+        # and its counter of seeds for unseeded evaluations.
         self._analytic = AnalyticPerformanceModel(
-            topology, cluster, self.calibration
+            topology, cluster, self.calibration, seed=seed
         )
 
     # ------------------------------------------------------------------
@@ -234,27 +234,28 @@ class DiscreteEventSimulator:
     ) -> MeasuredRun:
         """Simulate one measurement window, with faults and noise.
 
-        ``seed`` draws the noise (and any injected fault decision, see
-        :mod:`repro.storm.faults`) from a per-evaluation stream instead
-        of the engine's shared one (see
-        :func:`repro.storm.noise.draw_observation`).  ``workload_time_s``
-        anchors the engine's :class:`WorkloadSchedule` (if any): the
-        schedule is sampled at ``workload_time_s + sim_now`` when each
-        batch is admitted.
+        ``seed`` names this evaluation's noise and fault streams (see
+        :mod:`repro.storm.faults`); without one the simulator takes the
+        next from its counter
+        (:meth:`AnalyticPerformanceModel.next_seed`).
+        ``workload_time_s`` anchors the engine's
+        :class:`WorkloadSchedule` (if any): the schedule is sampled at
+        ``workload_time_s + sim_now`` when each batch is admitted.
         """
+        if seed is None:
+            seed = self._analytic.next_seed()
         run = inject_faults(
             self.faults,
             lambda: self.evaluate_noise_free(
                 config, workload_time_s=workload_time_s
             ),
-            config_key=repr(config),
             seed=seed,
             tracer=obs_runtime.current().tracer,
             engine="des",
         )
         if run.failed:
             return run
-        observed = draw_observation(self.noise, run.throughput_tps, self._rng, seed)
+        observed = draw_observation(self.noise, run.throughput_tps, seed)
         return run.with_throughput(observed)
 
     def __call__(self, config: TopologyConfig) -> float:

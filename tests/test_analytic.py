@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.seeding import derive_seed
 from repro.storm.analytic import AnalyticPerformanceModel, CalibrationParams
 from repro.storm.cluster import ClusterSpec, MachineSpec
 from repro.storm.config import TopologyConfig
+from repro.storm.faults import FaultPlan, FaultSpec
 from repro.storm.noise import GaussianNoise
+from repro.storm.simulation import DiscreteEventSimulator
 from repro.storm.topology import TopologyBuilder, linear_topology
 
 
@@ -340,6 +343,45 @@ class TestNoiseIntegration:
         )
         values = {model.evaluate(config).throughput_tps for _ in range(5)}
         assert len(values) > 1
+
+    @pytest.mark.parametrize(
+        "engine_cls", [AnalyticPerformanceModel, DiscreteEventSimulator]
+    )
+    def test_unseeded_calls_take_the_engines_next_eval_seed(
+        self, big_cluster, engine_cls
+    ):
+        """The n-th unseeded evaluation equals an explicit
+        ``derive_seed(engine seed, "eval", n)`` one — noise and faults."""
+        topo = linear_topology("chain", 1)
+        configs = [
+            TopologyConfig(
+                parallelism_hints={n: h for n in topo}, ackers=0, num_workers=10
+            )
+            for h in (1, 2, 3, 2, 1, 2, 3, 2)
+        ]
+
+        def engine():
+            return engine_cls(
+                topo,
+                big_cluster,
+                noise=GaussianNoise(0.05),
+                seed=7,
+                faults=FaultPlan(FaultSpec.chaos(0.5, seed=1)),
+            )
+
+        unseeded = engine()
+        seeded = engine()
+        implicit = [unseeded.evaluate(c) for c in configs]
+        explicit = [
+            seeded.evaluate(c, seed=derive_seed(7, "eval", n))
+            for n, c in enumerate(configs)
+        ]
+        assert implicit == explicit
+        assert any(run.failed for run in implicit)
+        assert len({run.throughput_tps for run in implicit}) > 2
+        if engine_cls is AnalyticPerformanceModel:
+            batch = engine().evaluate_batch(configs)
+            assert batch == explicit
 
     def test_callable_interface(self, big_cluster):
         topo = linear_topology("chain", 1)

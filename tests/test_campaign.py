@@ -211,3 +211,56 @@ class TestFleetMode:
                 for lease in store.leases("synthetic")
             }
         assert set(statuses.values()) == {"committed"}
+
+
+# (mode, spec kwargs, store suffixes): None is no store, "-jsonl" a JSONL
+# directory, ".db" SQLite.  Fleet mode needs a store the workers share.
+_INVARIANCE_MODES = (
+    ("pool-serial", {"n_jobs": 1}, (None, "-jsonl", ".db")),
+    ("pool-loop2", {"workers": 4}, (None, "-jsonl", ".db")),
+    ("fleet2", {"mode": "fleet", "workers": 2}, ("-jsonl", ".db")),
+)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("batch_size", [1, 4])
+def test_results_do_not_depend_on_mode_workers_or_store(tmp_path, batch_size):
+    """A campaign's results are a pure function of (spec, seed).
+
+    ``batch_size`` is set explicitly: it defaults to the in-loop worker
+    count, and BO's liar fantasies make it part of the spec, not an
+    axis results must be invariant over.
+    """
+    from repro.core.checkpoint import canonical_history
+
+    budget = Budget(
+        steps=6, steps_extended=6, baseline_steps=6, passes=1, repeat_best=2
+    )
+    digests = {}
+    for mode, kwargs, stores in _INVARIANCE_MODES:
+        for store in stores:
+            spec = CampaignSpec.synthetic(
+                budget=budget,
+                seed=4,
+                conditions=CONDITIONS[:1],
+                sizes=("small",),
+                strategies=("pla", "bo"),
+                batch_size=batch_size,
+                store=None if store is None else str(tmp_path / f"{mode}{store}"),
+                **kwargs,
+            )
+            runner = CampaignRunner(spec)
+            if mode == "pool-loop2":
+                assert runner.loop_workers == 2
+            results = runner.run()
+            digests[mode, store] = {
+                label: [
+                    (canonical_history(r.observations), r.best_rerun_values)
+                    for r in passes
+                ]
+                for label, passes in results.items()
+            }
+    reference = digests["pool-serial", None]
+    assert len(reference) == 2
+    for cell, digest in digests.items():
+        assert digest == reference, f"{cell} differs from a store-less serial run"

@@ -51,7 +51,7 @@ class _RecordingObjective:
         return Run()
 
 
-def _storm_objective(noise=None, seed=None) -> StormObjective:
+def _storm_objective(noise=None, seed=0) -> StormObjective:
     topology = make_topology("small")
     cluster = default_cluster()
     _, codec = make_synthetic_optimizer(

@@ -27,7 +27,7 @@ from repro.storm.objective import StormObjective
 from repro.topology_gen.suite import make_topology
 
 
-def _storm_objective(noise=None, seed=None, fidelity="analytic") -> StormObjective:
+def _storm_objective(noise=None, seed=0, fidelity="analytic") -> StormObjective:
     topology = make_topology("small")
     cluster = default_cluster()
     _, codec = make_synthetic_optimizer(

@@ -25,7 +25,7 @@ from repro.storm.objective import StormObjective
 from repro.topology_gen.suite import make_topology
 
 
-def _objective(faults=None, seed=None, fidelity="analytic"):
+def _objective(faults=None, seed=0, fidelity="analytic"):
     topology = make_topology("small")
     cluster = default_cluster()
     _, codec = make_synthetic_optimizer(
@@ -102,12 +102,6 @@ class TestDecide:
         decisions_b = [b.decide(s) for s in range(200)]
         assert decisions_a != decisions_b
 
-    def test_key_identifies_when_seed_is_none(self):
-        plan = FaultPlan(FaultSpec.chaos(0.5))
-        assert plan.decide(None, key="cfg-a") == plan.decide(None, key="cfg-a")
-        many = {str(plan.decide(None, key=f"cfg-{i}")) for i in range(100)}
-        assert len(many) > 1
-
     def test_inactive_spec_never_faults(self):
         plan = FaultPlan(FaultSpec())
         assert not plan.active
@@ -177,7 +171,6 @@ class TestInjectFaults:
         out = inject_faults(
             None,
             lambda: run,
-            config_key="k",
             seed=0,
             tracer=self._Tracer(),
             engine="analytic",
@@ -192,7 +185,7 @@ class TestInjectFaults:
             raise AssertionError("mechanics must not run on a crash")
 
         out = inject_faults(
-            plan, boom, config_key="k", seed=0, tracer=tracer, engine="analytic"
+            plan, boom, seed=0, tracer=tracer, engine="analytic"
         )
         assert out.failed
         names = [name for name, _ in tracer.events]

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from repro.core.baselines import GridAscentOptimizer, ParallelLinearAscent
+from repro.core.checkpoint import canonical_history
 from repro.core.history import (
     Observation,
     TuningResult,
@@ -151,22 +154,43 @@ class TestTuningLoop:
         assert result.strategy == "ParallelLinearAscent"
 
 
+class _SeededNoisyObjective:
+    """Observed value is a pure function of (config, evaluation seed)."""
+
+    def measure(self, params, *, seed):
+        jitter = np.random.default_rng(seed).normal(1.0, 0.05)
+        return SimpleNamespace(throughput_tps=100.0 * params["h"] * jitter)
+
+
 class TestRunPasses:
     def test_independent_passes(self):
         def make_optimizer(seed):
             return GridAscentOptimizer([{"h": i} for i in range(1, 5)])
 
-        results = run_passes(
-            make_optimizer,
-            lambda c: float(c["h"]),
-            passes=3,
-            max_steps=4,
-            repeat_best=2,
-            strategy_name="grid",
-        )
+        def run():
+            return run_passes(
+                make_optimizer,
+                _SeededNoisyObjective(),
+                passes=3,
+                max_steps=4,
+                repeat_best=2,
+                strategy_name="grid",
+            )
+
+        results = run()
         assert len(results) == 3
         assert all(r.strategy == "grid" for r in results)
         assert all(len(r.best_rerun_values) == 2 for r in results)
+        # Same configs in every pass, but each pass draws its own noise.
+        values = [tuple(o.value for o in r.observations) for r in results]
+        assert len(set(values)) == 3
+        again = run()
+        assert [canonical_history(r.observations) for r in again] == [
+            canonical_history(r.observations) for r in results
+        ]
+        assert [r.best_rerun_values for r in again] == [
+            r.best_rerun_values for r in results
+        ]
 
     def test_passes_validation(self):
         with pytest.raises(ValueError):

@@ -27,8 +27,8 @@ from repro.core.resilience import (
     ReplicatedObjective,
     ResilientExecutor,
     RetryPolicy,
+    breaker_key,
     classify_failure,
-    config_key,
 )
 from repro.core.seeding import derive_seed
 from repro.experiments.presets import SYNTHETIC_BASE_CONFIG, default_cluster
@@ -207,7 +207,7 @@ class TestCircuitBreaker:
         ex.submit(1, {"x": 2}, seed=1)  # different config: circuit closed
         outcome = ex.wait_one()
         assert not outcome.run.failure_reason.startswith("circuit_open")
-        assert config_key({"x": 1}) != config_key({"x": 2})
+        assert breaker_key({"x": 1}) != breaker_key({"x": 2})
 
     def test_without_cooldown_an_open_circuit_never_recovers(self):
         objective = FlakyObjective(fail_first=1, reason="scheduling: full")

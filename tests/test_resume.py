@@ -21,6 +21,7 @@ import pytest
 
 from repro.core.baselines import GridAscentOptimizer
 from repro.core.checkpoint import (
+    FileCheckpointSlot,
     TuningCheckpoint,
     atomic_write_text,
     canonical_history,
@@ -166,7 +167,8 @@ class TestLoopCheckpointing:
         path = tmp_path / "run.jsonl"
         opt = BayesianOptimizer(_space(), seed=0)
         result = TuningLoop(
-            _objective, opt, max_steps=4, seed=1, checkpoint_path=path
+            _objective, opt, max_steps=4, seed=1,
+            checkpoint=FileCheckpointSlot(path),
         ).run()
         loaded = load_checkpoint(path)
         assert loaded is not None
@@ -179,7 +181,7 @@ class TestLoopCheckpointing:
             opt = BayesianOptimizer(_space(), seed=3)
             return TuningLoop(
                 _objective, opt, max_steps=max_steps, seed=11,
-                checkpoint_path=path,
+                checkpoint=FileCheckpointSlot(path),
             ).run()
 
         full = run(6, tmp_path / "full.jsonl")
@@ -198,7 +200,7 @@ class TestLoopCheckpointing:
             opt = GridAscentOptimizer(configs)
             return TuningLoop(
                 _objective, opt, max_steps=max_steps, seed=2,
-                checkpoint_path=path, strategy_name="grid",
+                checkpoint=FileCheckpointSlot(path), strategy_name="grid",
             ).run()
 
         full = run(6, tmp_path / "full.jsonl")
@@ -217,12 +219,14 @@ class TestLoopCheckpointing:
 
         opt = BayesianOptimizer(_space(), seed=0)
         TuningLoop(
-            counting, opt, max_steps=3, seed=1, checkpoint_path=path
+            counting, opt, max_steps=3, seed=1,
+            checkpoint=FileCheckpointSlot(path),
         ).run()
         n_first = len(calls)
         opt2 = BayesianOptimizer(_space(), seed=0)
         result = TuningLoop(
-            counting, opt2, max_steps=3, seed=1, checkpoint_path=path
+            counting, opt2, max_steps=3, seed=1,
+            checkpoint=FileCheckpointSlot(path),
         ).run()
         assert len(calls) == n_first  # nothing re-evaluated
         assert result.metadata["resumed_steps"] == 3
@@ -238,6 +242,7 @@ class TestKillMidRun:
             textwrap.dedent(
                 """
                 import sys, time
+                from repro.core.checkpoint import FileCheckpointSlot
                 from repro.core.loop import TuningLoop
                 from repro.core.optimizer import BayesianOptimizer
                 from repro.core.parameters import IntParameter, ParameterSpace
@@ -250,14 +255,14 @@ class TestKillMidRun:
                 opt = BayesianOptimizer(space, seed=3)
                 TuningLoop(
                     objective, opt, max_steps=16, seed=11,
-                    checkpoint_path=sys.argv[1],
+                    checkpoint=FileCheckpointSlot(sys.argv[1]),
                 ).run()
                 """
             )
         )
         proc = subprocess.Popen(
             [sys.executable, str(script), str(ckpt)],
-            cwd="/root/repo",
+            cwd=Path(__file__).resolve().parents[1],
             env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
         )
         try:
@@ -287,7 +292,7 @@ class TestKillMidRun:
             BayesianOptimizer(_space(), seed=3),
             max_steps=16,
             seed=11,
-            checkpoint_path=ckpt,
+            checkpoint=FileCheckpointSlot(ckpt),
         ).run()
         assert resumed.metadata["resumed_steps"] == killed.completed
         assert canonical_history(resumed.observations) == canonical_history(
@@ -396,7 +401,7 @@ class TestKillMidDrift:
 
         proc = subprocess.Popen(
             [sys.executable, str(script), str(ckpt_dir)],
-            cwd="/root/repo",
+            cwd=Path(__file__).resolve().parents[1],
             env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
         )
         killed_mid_run = False
