@@ -97,10 +97,12 @@ def _spec(smoke: bool, store_spec: str, workers: int) -> CampaignSpec:
 def _kill_plan(rng: np.random.Generator, smoke: bool) -> list[str | None]:
     """Per-initial-worker kill specs (``None`` = clean worker).
 
-    Smoke: 2 workers, one killed.  Full: 4 workers, three killed at
-    the three distinct failure windows (shuffled across worker slots);
-    the last worker stays clean so reclaim never waits on a process
-    respawn.
+    Smoke: 2 workers, one killed; the clean worker starts only once
+    the armed one holds a lease (:func:`_await_claim`), so the kill
+    point is always reached.  Full: 4 workers over 6 cells, three
+    killed at the three distinct failure windows (shuffled across
+    worker slots), all started together; the last worker stays clean
+    so reclaim never waits on a process respawn.
     """
     if smoke:
         op = ("checkpoint_write", "result_write")[int(rng.integers(2))]
@@ -140,6 +142,26 @@ def _spawn_worker(
         stdout=out,
         stderr=subprocess.STDOUT if log_dir is not None else subprocess.DEVNULL,
     )
+
+
+def _await_claim(
+    watcher, study: str, cells: list[str], owner: str, proc: subprocess.Popen
+) -> None:
+    """Block until ``owner`` holds (or held) a lease, or has exited.
+
+    A kill armed on an operation of a worker that never claims a cell
+    would never fire: with no clean worker running yet, the armed
+    worker is sure to claim one, and to checkpoint and write results
+    for it."""
+    deadline = time.time() + SUPERVISE_TIMEOUT
+    while proc.poll() is None:
+        assert time.time() < deadline, f"{owner} never claimed a cell"
+        if any(
+            lease is not None and lease.owner == owner
+            for lease in (watcher.read_lease(study, cell) for cell in cells)
+        ):
+            return
+        time.sleep(0.02)
 
 
 def run_fleet_fuzz(
@@ -183,16 +205,21 @@ def run_fleet_fuzz(
             )
 
         procs: list[tuple[str, subprocess.Popen]] = []
-        for i, kill in enumerate(plan):
-            owner = f"fuzz-w{i}"
-            procs.append((owner, _spawn_worker(fleet_store, owner, kill, log_dir)))
-        spawned = len(procs)
         kills_observed = 0
         expired_seen: dict[tuple[str, int], float] = {}  # -> lease deadline
         reclaim_latency: dict[tuple[str, int], float] = {}
 
         watcher = open_store(str(fleet_store))
         try:
+            for i, kill in enumerate(plan):
+                owner = f"fuzz-w{i}"
+                proc = _spawn_worker(fleet_store, owner, kill, log_dir)
+                procs.append((owner, proc))
+                if smoke and kill:
+                    # The smoke's one clean worker could otherwise run
+                    # both cells before the armed worker claims one.
+                    _await_claim(watcher, spec.study, cells, owner, proc)
+            spawned = len(procs)
             deadline_wall = time.time() + SUPERVISE_TIMEOUT
             while True:
                 assert time.time() < deadline_wall, (

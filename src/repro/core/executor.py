@@ -47,7 +47,6 @@ the loop uses for failure diagnosis; plain callables are invoked as
 from __future__ import annotations
 
 import abc
-import inspect
 import pickle
 import time
 from collections import deque
@@ -92,13 +91,6 @@ class _Ticket:
     submitted_at: float = field(default_factory=time.perf_counter)
 
 
-def _accepts_seed(fn: object) -> bool:
-    try:
-        return "seed" in inspect.signature(fn).parameters  # type: ignore[arg-type]
-    except (TypeError, ValueError):
-        return False
-
-
 def call_objective(
     objective: Objective, config: Mapping[str, object], seed: int | None
 ) -> tuple[float, object | None, float]:
@@ -106,14 +98,16 @@ def call_objective(
 
     Prefers ``objective.measure(config, seed=...)`` when available so
     the full measurement record (failure reason, bottleneck detail)
-    travels back with the scalar; falls back to plain ``__call__`` —
+    travels back with the scalar.  Every ``measure`` takes a keyword
+    ``seed``; it is passed whenever one is given.  Falls back to plain
+    ``__call__`` —
     in which case ``seed`` is ignored, because a bare callable offers
     nowhere to thread it.
     """
     t0 = time.perf_counter()
     measure = getattr(objective, "measure", None)
     if callable(measure):
-        if seed is not None and _accepts_seed(measure):
+        if seed is not None:
             run = measure(config, seed=seed)
         else:
             run = measure(config)

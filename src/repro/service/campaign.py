@@ -26,6 +26,7 @@ see docs/STORE.md for the resume guarantees.
 
 from __future__ import annotations
 
+import signal
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import asdict, dataclass, field
@@ -519,7 +520,9 @@ class CampaignRunner:
         (so detached ``campaign workers`` processes can join), spawns
         ``n_jobs`` worker processes, and respawns any that die while
         non-terminal cells remain — a worker loss costs at most one
-        lease TTL of progress, never the campaign.  Quarantined cells
+        lease TTL of progress, never the campaign.  Once every cell is
+        terminal it sends the remaining workers SIGTERM, their graceful
+        drain, so none sleeps out its idle poll.  Quarantined cells
         surface as a :class:`StudyError` after everything else ran.
         """
         import multiprocessing
@@ -565,11 +568,7 @@ class CampaignRunner:
                         continue
                     proc.join()
                     del procs[owner]
-                    ctx.tracer.event(
-                        "worker.lost" if proc.exitcode else "worker.done",
-                        worker=owner,
-                        exitcode=proc.exitcode,
-                    )
+                    _worker_exit_event(owner, proc.exitcode)
                 while len(procs) < min(self.n_jobs, len(pending)):
                     if spawned >= max_spawns:
                         # Tear the fleet down before reporting failure:
@@ -598,12 +597,30 @@ class CampaignRunner:
                         args=(spec.as_dict(), owner, policy.as_dict()),
                         name=owner,
                     )
-                    proc.start()
+                    # SIGTERM stays blocked across the fork until the
+                    # worker has installed its drain handler, so a stop
+                    # sent right after the spawn is not a hard kill.
+                    mask = signal.pthread_sigmask(
+                        signal.SIG_BLOCK, {signal.SIGTERM}
+                    )
+                    try:
+                        proc.start()
+                    finally:
+                        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
                     procs[owner] = proc
                     ctx.tracer.event("worker.spawn", worker=owner)
                 time.sleep(min(0.2, policy.poll_interval()))
+            # Every cell is terminal, so any lease a worker still holds
+            # is stale: drain idle workers now, and hard-stop one that
+            # outlives a lease TTL.
             for proc in procs.values():
-                proc.join()
+                proc.terminate()
+            for owner, proc in procs.items():
+                proc.join(timeout=policy.ttl_seconds)
+                if proc.is_alive():
+                    proc.kill()
+                    proc.join()
+                _worker_exit_event(owner, proc.exitcode)
             seconds = time.perf_counter() - t0
             failures: list[tuple[str, str]] = []
             results: dict[str, list[TuningResult]] = {}
@@ -634,6 +651,14 @@ class CampaignRunner:
         return results
 
 
+def _worker_exit_event(owner: str, exitcode: int | None) -> None:
+    obs_runtime.current().tracer.event(
+        "worker.lost" if exitcode else "worker.done",
+        worker=owner,
+        exitcode=exitcode,
+    )
+
+
 def _fleet_worker_main(
     spec_dict: dict[str, object],
     owner: str,
@@ -652,4 +677,5 @@ def _fleet_worker_main(
         CampaignSpec.from_dict(spec_dict),
         owner,
         policy=QueuePolicy.from_dict(policy_dict),
+        install_sigterm=True,
     )

@@ -327,6 +327,10 @@ def run_worker(
     stop = stop or threading.Event()
     if install_sigterm:
         signal.signal(signal.SIGTERM, lambda *_args: stop.set())
+        # A supervisor blocks SIGTERM across the fork (see
+        # CampaignRunner._run_fleet); a stop it sent early is delivered
+        # to the handler now.
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
     if cells is None:
         from repro.service.campaign import CampaignRunner, store_cell_label
 

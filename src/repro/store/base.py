@@ -199,8 +199,10 @@ class StudyStore(abc.ABC):
     def save_checkpoint(
         self, study: str, cell: str, run: str, checkpoint: TuningCheckpoint
     ) -> None:
-        self._save_checkpoint(study, cell, run, checkpoint)
+        """Persist one run's checkpoint (see :meth:`_save_checkpoint`)."""
+        encoded = self._save_checkpoint(study, cell, run, checkpoint)
         _count("store.checkpoint_writes")
+        _count("store.checkpoint_observations", encoded)
         _maybe_die("checkpoint_write")
 
     def load_checkpoint(
@@ -366,7 +368,13 @@ class StudyStore(abc.ABC):
     @abc.abstractmethod
     def _save_checkpoint(
         self, study: str, cell: str, run: str, checkpoint: TuningCheckpoint
-    ) -> None: ...
+    ) -> int:
+        """Persist ``checkpoint``; return the observation records encoded.
+
+        Called once per tell with the whole history.  The JSONL backend
+        rewrites the whole file; SQLite inserts only the observations
+        added since its previous save of the address in this process
+        (the optimizer snapshot is still rewritten whole)."""
 
     @abc.abstractmethod
     def _load_checkpoint(

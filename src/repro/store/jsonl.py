@@ -150,9 +150,10 @@ class JsonlStudyStore(StudyStore):
     # ------------------------------------------------------------------
     def _save_checkpoint(
         self, study: str, cell: str, run: str, checkpoint: TuningCheckpoint
-    ) -> None:
+    ) -> int:
         self._register(study, cell)
         save_checkpoint(self._checkpoint_path(cell, run), checkpoint)
+        return checkpoint.completed
 
     def _load_checkpoint(
         self, study: str, cell: str, run: str

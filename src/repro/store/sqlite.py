@@ -3,8 +3,9 @@
 Stdlib ``sqlite3`` only — no new runtime dependencies.  The schema is
 versioned through an explicit ``schema_version`` table and a migration
 runner: opening a database created by an older build applies the
-missing migrations in order (each in its own transaction), and opening
-one created by a *newer* build raises
+missing migrations in order (each in its own ``BEGIN IMMEDIATE``
+transaction, so processes opening one fresh file at once apply each
+step exactly once), and opening one created by a *newer* build raises
 :class:`~repro.store.base.SchemaVersionError` instead of misreading it
 (the store CLI maps that to exit code 2).
 
@@ -14,10 +15,19 @@ round-trips byte-identically under
 :func:`repro.core.checkpoint.canonical_history`.  WAL journaling plus a
 generous busy timeout make the single file safe for the campaign
 runner's process-parallel cells, which each open their own connection.
+
+A run's checkpoint is written whole on its first save in a process
+(or after a load), and afterwards each tell inserts only its new
+observation rows — guarded, inside the same transaction, by the
+stored ``MAX(step)`` still being the prefix this store last wrote.
+That makes a save O(1) in observation records; the ``runs`` row, whose
+optimizer snapshot is O(n) for BO, is still rewritten whenever it
+changed.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import random
@@ -25,7 +35,7 @@ import sqlite3
 import time
 import warnings
 from pathlib import Path
-from typing import Callable, TypeVar
+from typing import Callable, Iterator, NamedTuple, TypeVar
 
 from repro.core.checkpoint import TuningCheckpoint, _json_default
 from repro.core.history import Observation, TuningResult
@@ -48,9 +58,10 @@ BUSY_TIMEOUT_MS = 30_000
 _BUSY_RETRIES = 8
 _BUSY_BASE_SLEEP = 0.005
 
-#: Migration steps, applied in version order inside one transaction
-#: each.  Never edit a shipped entry — append a new version instead;
-#: the runner replays exactly the missing suffix on old databases.
+#: Migration steps, applied in version order inside one ``BEGIN
+#: IMMEDIATE`` transaction each.  Never edit a shipped entry — append a
+#: new version instead; the runner replays exactly the missing suffix
+#: on old databases.
 MIGRATIONS: dict[int, tuple[str, ...]] = {
     1: (
         """CREATE TABLE studies (
@@ -116,6 +127,49 @@ MIGRATIONS: dict[int, tuple[str, ...]] = {
 }
 
 
+class _Written(NamedTuple):
+    """What a store last wrote for one run: the append guard's
+    expectation and the run row, to skip rewriting it unchanged."""
+
+    run_id: int
+    completed: int
+    last: Observation | None
+    row: tuple[str, str | None, int, str | None]
+
+
+def _extends(checkpoint: TuningCheckpoint, written: _Written) -> bool:
+    """Whether ``checkpoint`` is the history ``written`` recorded plus
+    zero or more new tells.
+
+    Compares the last written observation by identity: the loop hands
+    every save the same :class:`Observation` objects, so any other
+    history (a reused address, a fresh run) fails the check in O(1).
+    """
+    if checkpoint.completed < written.completed:
+        return False
+    return (
+        written.completed == 0
+        or checkpoint.observations[written.completed - 1] is written.last
+    )
+
+
+def _observation_rows(
+    run_id: int, checkpoint: TuningCheckpoint, start: int
+) -> list[tuple[int, int, str]]:
+    return [
+        (
+            run_id,
+            step,
+            json.dumps(
+                checkpoint.observations[step].as_dict(),
+                sort_keys=True,
+                default=_json_default,
+            ),
+        )
+        for step in range(start, checkpoint.completed)
+    ]
+
+
 class SqliteStudyStore(StudyStore):
     """Study store over one stdlib-``sqlite3`` database file."""
 
@@ -125,14 +179,20 @@ class SqliteStudyStore(StudyStore):
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._conn = sqlite3.connect(self.path, timeout=BUSY_TIMEOUT_MS / 1000)
-        self._conn.execute("PRAGMA journal_mode=WAL")
-        self._conn.execute("PRAGMA synchronous=NORMAL")
-        self._conn.execute("PRAGMA foreign_keys=ON")
-        self._conn.execute(f"PRAGMA busy_timeout={BUSY_TIMEOUT_MS}")
         #: Busy-retry knobs, patchable in tests (jitter only perturbs
         #: wall-clock sleeps, never stored values).
         self._sleep = time.sleep
         self._jitter = random.Random()
+        # Switching a fresh file to WAL needs its exclusive lock, which a
+        # concurrent first open can hold past the busy handler.
+        self._retry(lambda: self._conn.execute("PRAGMA journal_mode=WAL"))
+        self._conn.execute("PRAGMA synchronous=NORMAL")
+        self._conn.execute("PRAGMA foreign_keys=ON")
+        self._conn.execute(f"PRAGMA busy_timeout={BUSY_TIMEOUT_MS}")
+        #: (study, cell) -> cells.id; ids never change once assigned.
+        self._cell_ids: dict[tuple[str, str], int] = {}
+        #: (study, cell, run) -> what this store last wrote there.
+        self._written: dict[tuple[str, str, str], _Written] = {}
         self._retry(self._migrate)
 
     def describe(self) -> str:
@@ -171,12 +231,6 @@ class SqliteStudyStore(StudyStore):
     # Schema versioning
     # ------------------------------------------------------------------
     def _migrate(self) -> None:
-        conn = self._conn
-        with conn:
-            conn.execute(
-                "CREATE TABLE IF NOT EXISTS schema_version "
-                "(version INTEGER NOT NULL)"
-            )
         current = self.schema_version()
         if current > SCHEMA_VERSION:
             raise SchemaVersionError(
@@ -184,34 +238,62 @@ class SqliteStudyStore(StudyStore):
                 f"build reads version {SCHEMA_VERSION}; refusing to touch it"
             )
         for version in range(current + 1, SCHEMA_VERSION + 1):
-            try:
-                with conn:
-                    for statement in MIGRATIONS[version]:
-                        conn.execute(statement)
-                    conn.execute("DELETE FROM schema_version")
-                    conn.execute(
-                        "INSERT INTO schema_version (version) VALUES (?)",
-                        (version,),
-                    )
-            except sqlite3.OperationalError:
-                # A fleet of workers can race on a fresh database: the
-                # loser sees "already exists" (or busy) for a step the
-                # winner just applied.  Trust the version table, not
-                # the exception: re-raise only if the migration truly
-                # has not landed yet.
-                if self.schema_version() < version:
-                    raise
+            self._apply_migration(version)
+
+    def _apply_migration(self, version: int) -> None:
+        """Apply one step unless a concurrent opener already did.
+
+        The explicit ``BEGIN IMMEDIATE`` takes the write lock before the
+        version is re-read, so the read and the step's DDL form one
+        transaction (sqlite3's legacy mode would otherwise run each
+        ``CREATE`` outside any transaction, committing it on its own).
+        """
+        with self._immediate() as conn:
+            conn.execute(
+                "CREATE TABLE IF NOT EXISTS schema_version "
+                "(version INTEGER NOT NULL)"
+            )
+            if self.schema_version() < version:
+                for statement in MIGRATIONS[version]:
+                    conn.execute(statement)
+                conn.execute("DELETE FROM schema_version")
+                conn.execute(
+                    "INSERT INTO schema_version (version) VALUES (?)",
+                    (version,),
+                )
+
+    @contextlib.contextmanager
+    def _immediate(self) -> Iterator[sqlite3.Connection]:
+        """An explicit ``BEGIN IMMEDIATE`` transaction: the write lock
+        is taken (or waited for) before the first read, so a check and
+        the writes it guards cannot interleave with another writer."""
+        conn = self._conn
+        conn.execute("BEGIN IMMEDIATE")
+        try:
+            yield conn
+        except BaseException:
+            conn.rollback()
+            raise
+        conn.commit()
 
     def schema_version(self) -> int:
-        row = self._conn.execute(
-            "SELECT MAX(version) FROM schema_version"
-        ).fetchone()
+        try:
+            row = self._conn.execute(
+                "SELECT MAX(version) FROM schema_version"
+            ).fetchone()
+        except sqlite3.OperationalError as exc:
+            if "no such table" not in str(exc):
+                raise
+            return 0
         return int(row[0]) if row and row[0] is not None else 0
 
     # ------------------------------------------------------------------
     # Row helpers
     # ------------------------------------------------------------------
     def _cell_id(self, study: str, cell: str, *, create: bool) -> int | None:
+        cached = self._cell_ids.get((study, cell))
+        if cached is not None:
+            return cached
         conn = self._conn
         row = conn.execute(
             "SELECT cells.id FROM cells JOIN studies "
@@ -220,6 +302,7 @@ class SqliteStudyStore(StudyStore):
             (study, cell),
         ).fetchone()
         if row is not None:
+            self._cell_ids[study, cell] = int(row[0])
             return int(row[0])
         if not create:
             return None
@@ -248,25 +331,76 @@ class SqliteStudyStore(StudyStore):
     # ------------------------------------------------------------------
     def _save_checkpoint(
         self, study: str, cell: str, run: str, checkpoint: TuningCheckpoint
-    ) -> None:
+    ) -> int:
         cell_id = self._cell_id(study, cell, create=True)
-        conn = self._conn
-        state = (
+        row = (
+            checkpoint.strategy,
+            # Derived seeds routinely exceed SQLite's signed 64-bit
+            # INTEGER range; store them as decimal text.
+            None if checkpoint.seed is None else str(checkpoint.seed),
+            checkpoint.max_steps,
             None
             if checkpoint.optimizer_state is None
-            else json.dumps(checkpoint.optimizer_state, default=_json_default)
+            else json.dumps(checkpoint.optimizer_state, default=_json_default),
         )
-        self._retry(lambda: self._write_checkpoint(conn, cell_id, run, checkpoint, state))
+        key = (study, cell, run)
+        written = self._written.pop(key, None)
+        if written is not None and not _extends(checkpoint, written):
+            written = None
+        # Encode before taking the write lock, which the other workers
+        # of a fleet wait on.
+        new_rows = (
+            []
+            if written is None
+            else _observation_rows(
+                written.run_id, checkpoint, written.completed
+            )
+        )
+        run_id, encoded = self._retry(
+            lambda: self._write_checkpoint(
+                cell_id, run, checkpoint, row, written, new_rows
+            )
+        )
+        self._written[key] = _Written(
+            run_id,
+            checkpoint.completed,
+            checkpoint.observations[-1] if checkpoint.observations else None,
+            row,
+        )
+        return encoded
 
     def _write_checkpoint(
         self,
-        conn: sqlite3.Connection,
         cell_id: int | None,
         run: str,
         checkpoint: TuningCheckpoint,
-        state: str | None,
-    ) -> None:
-        with conn:
+        row: tuple[str, str | None, int, str | None],
+        written: _Written | None,
+        new_rows: list[tuple[int, int, str]],
+    ) -> tuple[int, int]:
+        """One transaction: when the stored run still ends where this
+        store left it (``written``), insert only ``new_rows``; otherwise
+        rewrite every observation row.  The run row is written unless it
+        is unchanged.  Returns the run id and the observations encoded."""
+        with self._immediate() as conn:
+            if written is not None:
+                stored = conn.execute(
+                    "SELECT MAX(step) FROM observations WHERE run_id = ?",
+                    (written.run_id,),
+                ).fetchone()[0]
+                if (-1 if stored is None else stored) == written.completed - 1:
+                    if row != written.row:
+                        conn.execute(
+                            "UPDATE runs SET strategy = ?, seed = ?, "
+                            "max_steps = ?, optimizer_state = ? WHERE id = ?",
+                            (*row, written.run_id),
+                        )
+                    conn.executemany(
+                        "INSERT INTO observations (run_id, step, payload) "
+                        "VALUES (?, ?, ?)",
+                        new_rows,
+                    )
+                    return written.run_id, len(new_rows)
             conn.execute(
                 "INSERT INTO runs (cell_id, name, strategy, seed, max_steps, "
                 "optimizer_state) VALUES (?, ?, ?, ?, ?, ?) "
@@ -274,16 +408,7 @@ class SqliteStudyStore(StudyStore):
                 "strategy = excluded.strategy, seed = excluded.seed, "
                 "max_steps = excluded.max_steps, "
                 "optimizer_state = excluded.optimizer_state",
-                (
-                    cell_id,
-                    run,
-                    checkpoint.strategy,
-                    # Derived seeds routinely exceed SQLite's signed
-                    # 64-bit INTEGER range; store them as decimal text.
-                    None if checkpoint.seed is None else str(checkpoint.seed),
-                    checkpoint.max_steps,
-                    state,
-                ),
+                (cell_id, run, *row),
             )
             run_id = int(
                 conn.execute(
@@ -291,31 +416,27 @@ class SqliteStudyStore(StudyStore):
                     (cell_id, run),
                 ).fetchone()[0]
             )
-            # The checkpoint is a whole-state replacement, exactly like
-            # the JSONL atomic rewrite: drop any rows past the new
-            # history before (re)writing the current one.
+            # Whole-state replacement: drop any rows past the new
+            # history (a longer run another writer stored, or rows
+            # after a malformed one a load stopped at) and rewrite the
+            # current ones.
             conn.execute(
                 "DELETE FROM observations WHERE run_id = ? AND step >= ?",
-                (run_id, len(checkpoint.observations)),
+                (run_id, checkpoint.completed),
             )
             conn.executemany(
                 "INSERT OR REPLACE INTO observations (run_id, step, payload) "
                 "VALUES (?, ?, ?)",
-                (
-                    (
-                        run_id,
-                        i,
-                        json.dumps(
-                            obs.as_dict(), sort_keys=True, default=_json_default
-                        ),
-                    )
-                    for i, obs in enumerate(checkpoint.observations)
-                ),
+                _observation_rows(run_id, checkpoint, 0),
             )
+            return run_id, checkpoint.completed
 
     def _load_checkpoint(
         self, study: str, cell: str, run: str
     ) -> TuningCheckpoint | None:
+        # The stored run may end in a row the load rejects: the next
+        # save rewrites it whole instead of appending after it.
+        self._written.pop((study, cell, run), None)
         cell_id = self._cell_id(study, cell, create=False)
         if cell_id is None:
             return None
@@ -346,14 +467,18 @@ class SqliteStudyStore(StudyStore):
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 # Mirror the JSONL torn-tail contract: stop at the first
                 # bad record, keep the trusted prefix, and *name* the
-                # rejected row so the operator can inspect it.
+                # rejected row so the operator can inspect it.  The
+                # run's optimizer snapshot was taken with every stored
+                # row, so it does not fit the prefix: resume replays.
                 warnings.warn(
                     f"store {self.path}: observations rowid {rowid} for run "
                     f"{study}/{cell}/{run} is malformed ({exc}); keeping the "
-                    f"{checkpoint.completed} observation(s) before it",
+                    f"{checkpoint.completed} observation(s) before it and "
+                    "dropping the optimizer snapshot",
                     RuntimeWarning,
                     stacklevel=2,
                 )
+                checkpoint.optimizer_state = None
                 break
         return checkpoint
 

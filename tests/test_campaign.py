@@ -212,6 +212,60 @@ class TestFleetMode:
             }
         assert set(statuses.values()) == {"committed"}
 
+    @pytest.mark.parametrize("suffix", ["-jsonl", ".db"])
+    def test_idle_workers_drain_once_the_last_cell_commits(
+        self, tmp_path, monkeypatch, suffix
+    ):
+        """The supervisor SIGTERMs workers idling after the last commit.
+
+        Idle polls are patched to outlast the test, so a worker that
+        left through anything but the drain would show ``drained``
+        False.  Forked workers inherit both patches.
+        """
+        import json
+        import os
+
+        import repro.service.queue as queue
+        from repro.obs import runtime as obs_runtime
+
+        monkeypatch.setattr(queue.QueuePolicy, "poll_interval", lambda self: 60.0)
+        real_run_worker = queue.run_worker
+
+        def reporting(*args, **kwargs):
+            report = real_run_worker(*args, **kwargs)
+            (tmp_path / f"report-{os.getpid()}.json").write_text(
+                json.dumps(
+                    {"drained": report.drained, "committed": report.committed}
+                )
+            )
+            return report
+
+        monkeypatch.setattr(queue, "run_worker", reporting)
+        spec = self._tiny(
+            seed=2, store=str(tmp_path / f"fleet{suffix}"), mode="fleet",
+            workers=2,
+        )
+        with obs_runtime.session(memory=True) as ctx:
+            results = CampaignRunner(spec).run()
+            exits = [
+                event for event in ctx.events
+                if event.get("name") in ("worker.done", "worker.lost")
+            ]
+        assert len(results) == 2
+        assert len(exits) == 2
+        assert [event["attrs"]["exitcode"] for event in exits] == [0, 0]
+        reports = [
+            json.loads(path.read_text())
+            for path in tmp_path.glob("report-*.json")
+        ]
+        assert len(reports) == 2
+        # One worker commits the last cell and sees the campaign done;
+        # the other idles until the supervisor drains it.
+        assert sorted(report["drained"] for report in reports) == [False, True]
+        assert sorted(
+            cell for report in reports for cell in report["committed"]
+        ) == sorted(results)
+
 
 # (mode, spec kwargs, store suffixes): None is no store, "-jsonl" a JSONL
 # directory, ".db" SQLite.  Fleet mode needs a store the workers share.

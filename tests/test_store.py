@@ -81,6 +81,15 @@ def store(request, tmp_path):
         yield backend
 
 
+def _open_after_barrier(path, barrier, results):
+    barrier.wait()
+    try:
+        with SqliteStudyStore(path) as store:
+            results.put(store.schema_version())
+    except Exception as exc:  # noqa: BLE001 - reported to the parent
+        results.put(f"{type(exc).__name__}: {exc}")
+
+
 class TestStoreContract:
     """Both backends must satisfy every test in this class."""
 
@@ -311,6 +320,32 @@ class TestSqliteBackend:
         # The trusted prefix before the torn row survives.
         assert loaded.completed == 2
         store.close()
+
+    def test_concurrent_first_opens_of_a_fresh_file_all_succeed(
+        self, tmp_path
+    ):
+        """Processes released together onto one new file must each
+        migrate-or-see-migrated, never raise ("already exists", or
+        "locked" from the WAL switch)."""
+        import multiprocessing
+
+        ctx = multiprocessing.get_context("fork")
+        n_procs, trials = 4, 12
+        for trial in range(trials):
+            path = tmp_path / f"fresh-{trial}.db"
+            barrier = ctx.Barrier(n_procs)
+            results = ctx.Queue()
+            procs = [
+                ctx.Process(target=_open_after_barrier, args=(path, barrier, results))
+                for _ in range(n_procs)
+            ]
+            for proc in procs:
+                proc.start()
+            outcomes = [results.get(timeout=60) for _ in procs]
+            for proc in procs:
+                proc.join(timeout=60)
+                assert not proc.is_alive()
+            assert outcomes == [SCHEMA_VERSION] * n_procs, (trial, outcomes)
 
     def test_two_connections_share_one_database(self, tmp_path):
         path = tmp_path / "shared.db"
